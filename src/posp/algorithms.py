@@ -2,8 +2,10 @@
 
 Two solvers share the label/frontier model from `core`:
 
-- `bellman_solve` — label-correcting fixed point: every round extends all
-  frontiers along all arcs and merges, stopping when nothing changes.
+- `bellman_solve` — label-correcting fixed point, semi-naive: every round
+  extends only the labels the previous round inserted, along the out-arcs
+  of their vertex, and merges; it stops when nothing changes.  Spaces that
+  declare a quasi-transitive relation re-extend every label every round.
 - `mda_solve` — label-setting: a priority queue keyed by the weight space's
   linear extension holds at most one candidate per vertex; extracted labels
   are permanent.  Candidates that lose the per-vertex slot wait in a parked
@@ -36,6 +38,7 @@ from .core import (
     LeoMonotonicityError,
     MU_BOUNDED,
     NoLeoError,
+    QUASI_TRANSITIVE,
     WeightSpace,
     reconstruct_path,
 )
@@ -182,16 +185,28 @@ def bellman_solve(
 ) -> SolveResult:
     """Label-correcting solve to a fixed point.
 
-    Each round rebuilds every frontier from the previous round's frontiers
-    (extensions along all in-arcs, then a merge against the incumbents) and
-    stops once no frontier changed.  The iteration guard defaults to
-    max(4 * vertex count, mu + 2 when a length bound is declared); hitting it
-    yields a result with status "iteration-guard-hit" whose frontiers are not
-    final.
+    Each round extends labels along the in-arcs of every vertex and merges
+    the candidates into the vertex's frontier; it stops once no frontier
+    changed.  The solve is semi-naive: a round extends only the labels the
+    previous round inserted (round 1 extends the root).  A label extended
+    earlier produced candidates that were merged then, and under a transitive
+    order some incumbent still dominates or equals each of them (or, in max
+    mode, still strictly dominates it or already holds its path), so
+    extending it again would only create candidates the merge rejects.  The
+    result is label-for-label the result of re-extending every frontier each
+    round; only the comparison count drops.  That argument needs the
+    declared `relation_kind`: a space whose comparator is not transitive must
+    declare ``antisymmetric-quasi-transitive``, and then every round
+    re-extends every frontier.
+
+    The iteration guard defaults to max(4 * vertex count, mu + 2 when a
+    length bound is declared); hitting it yields a result with status
+    "iteration-guard-hit" whose frontiers are not final.
     """
     stats = SolveStats()
     space = _counting_space(instance.space, stats)
     merge = min_merge if mode is SolveMode.MIN else max_merge
+    semi_naive = instance.space.relation_kind != QUASI_TRANSITIVE
     guard = max_iterations
     if guard is None:
         guard = instance.max_iterations
@@ -213,18 +228,22 @@ def bellman_solve(
     frontiers: list[list[Label]] = [[] for _ in range(n)]
     frontiers[instance.source] = [root]
     stats.insertions += 1
+    # Per vertex, the labels the last round inserted, in frontier order.
+    fresh: list[list[Label]] = [list(f) for f in frontiers]
 
     iteration_sizes: list[int] = []
     status = CONVERGED
     k = 0
     while True:
         k += 1
+        sources = fresh if semi_naive else frontiers
         new_frontiers: list[list[Label]] = []
+        new_fresh: list[list[Label]] = []
         changed = False
         for v in range(n):
             candidates: list[Label] = []
             for arc in instance.in_arcs(v):
-                for lab in frontiers[arc.tail]:
+                for lab in sources[arc.tail]:
                     w = space.update(lab.weight, arc)
                     if drop_infeasible and space.is_infeasible(w):
                         continue
@@ -238,14 +257,19 @@ def bellman_solve(
                             serial=next(serials),
                         )
                     )
-            merged = merge(space, frontiers[v], candidates)
             stats.merge_operations += 1
-            if [l.serial for l in merged] != [l.serial for l in frontiers[v]]:
-                changed = True
+            merged, inserted = frontiers[v], []
+            if candidates:
+                merged = merge(space, frontiers[v], candidates)
                 old = {l.serial for l in frontiers[v]}
-                stats.insertions += sum(1 for l in merged if l.serial not in old)
+                inserted = [l for l in merged if l.serial not in old]
+                if inserted:
+                    changed = True
+                    stats.insertions += len(inserted)
             new_frontiers.append(merged)
+            new_fresh.append(inserted)
         frontiers = new_frontiers
+        fresh = new_fresh
         iteration_sizes.append(sum(len(f) for f in frontiers))
         if not changed:
             break

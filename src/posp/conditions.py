@@ -35,7 +35,6 @@ from .core import (
     CYCLE_INCREASING,
     CYCLE_NON_DECREASING,
     EQUAL,
-    FIRST,
     GREATER,
     HISTORY_FREE,
     INDEPENDENT,
@@ -411,38 +410,38 @@ def check_linear_extension(
             data.update(extra)
         return data
 
-    for a in sample:
-        if leo_pick(space, a, a) != FIRST:
+    # a is picked over b (leo_pick gives FIRST) exactly when keys[a] <= keys[b].
+    keys = [space.leo_key(w) for w in sample]
+    for a, ka in zip(sample, keys):
+        if not ka <= ka:
             return ConditionReport(
                 "linear-extension", VIOLATED, depth, witness_pair("reflexivity", a, a)
             )
-    for a in sample:
-        for b in sample:
-            pick_ab = leo_pick(space, a, b)
-            pick_ba = leo_pick(space, b, a)
-            if pick_ab == SECOND and pick_ba == SECOND:
+    for a, ka in zip(sample, keys):
+        for b, kb in zip(sample, keys):
+            ab_first = ka <= kb
+            ba_first = kb <= ka
+            if not ab_first and not ba_first:
                 return ConditionReport(
                     "linear-extension", VIOLATED, depth, witness_pair("totality", a, b)
                 )
-            if pick_ab == FIRST and pick_ba == FIRST and a != b:
+            if ab_first and ba_first and a != b:
                 return ConditionReport(
                     "linear-extension", VIOLATED, depth, witness_pair("antisymmetry", a, b)
                 )
-            if space.comparator(a, b) is LESS and pick_ab == SECOND:
+            if space.comparator(a, b) is LESS and not ab_first:
                 return ConditionReport(
                     "linear-extension",
                     VIOLATED,
                     depth,
                     witness_pair("dominance-agreement", a, b),
                 )
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                if (
-                    leo_pick(space, a, b) == FIRST
-                    and leo_pick(space, b, c) == FIRST
-                    and leo_pick(space, a, c) == SECOND
-                ):
+    for a, ka in zip(sample, keys):
+        for b, kb in zip(sample, keys):
+            if not ka <= kb:
+                continue
+            for c, kc in zip(sample, keys):
+                if kb <= kc and not ka <= kc:
                     return ConditionReport(
                         "linear-extension",
                         VIOLATED,

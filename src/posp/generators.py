@@ -57,7 +57,9 @@ def kn_instance(n: int, m: int) -> Instance:
     """Complete digraph on n vertices with all loops, worst-case weights.
 
     Every path of length below m keeps a distinct incomparable weight, so
-    frontiers multiply by n each round until the collapse at length m.
+    frontiers multiply by n each round until the collapse at length m.  The
+    label-correcting solve needs m + 1 rounds, so the instance carries an
+    iteration guard of max(4 * n, m + 1).
     """
     arcs = [(i, j) for i in range(n) for j in range(n)]
     space = weights.kn_space(n, m, source=0)
@@ -67,6 +69,7 @@ def kn_instance(n: int, m: int) -> Instance:
         source=0,
         space=space,
         declared={WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT},
+        max_iterations=max(4 * n, m + 1),
         name=f"kn-{n}-{m}",
     )
 

@@ -41,6 +41,7 @@ from .core import (
     ComparisonResult,
     DomainMismatchError,
     MissingUpdateEntryError,
+    QUASI_TRANSITIVE,
     ValidationError,
     WeightSpace,
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from posp import (
     Label,
     LeoMonotonicityError,
     NoLeoError,
+    QUASI_TRANSITIVE,
     build_instance,
     reconstruct_path,
 )
@@ -27,7 +29,7 @@ from posp.algorithms import (
     min_merge,
     nondominated_weights,
 )
-from posp.generators import kn_instance, random_instance
+from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
 from posp.weights import mosp_space, wcspr_space
 
 
@@ -111,7 +113,9 @@ def test_improving_loop_converges_in_exactly_three_rounds():
 # Worst-case growth on the complete digraph.
 
 
-@pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (3, 4)])
+# (2, 8) has m >= 4n: the default guard of 4n rounds alone would stop it
+# before the collapse.
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (3, 4), (2, 8)])
 def test_kn_frontier_growth_and_collapse(n, m):
     inst = kn_instance(n, m)
     result = bellman_solve(inst, SolveMode.MIN)
@@ -177,6 +181,79 @@ def test_mda_matches_bellman_on_the_bundled_demos():
         m = mda_solve(inst, SolveMode.MIN)
         for v in range(inst.vertex_count):
             assert frontier_weights(b, v) == frontier_weights(m, v), (name, v)
+
+
+def labelled_frontiers(result):
+    return [[(lab.weight, reconstruct_path(lab)) for lab in f] for f in result.frontiers]
+
+
+@pytest.mark.parametrize("structure", MIN_STRUCTURES + MAX_STRUCTURES)
+def test_semi_naive_rounds_match_full_re_extension(structure):
+    # Declaring the relation quasi-transitive makes every round re-extend
+    # every frontier; extending only fresh labels must change nothing but
+    # the comparison count.
+    saved = 0
+    for seed in range(5):
+        inst = random_instance(structure, seed)
+        full = dataclasses.replace(
+            inst, space=dataclasses.replace(inst.space, relation_kind=QUASI_TRANSITIVE)
+        )
+        for mode in SolveMode:
+            for drop in (False, True):
+                fast = bellman_solve(inst, mode, drop_infeasible=drop)
+                slow = bellman_solve(full, mode, drop_infeasible=drop)
+                case = (seed, mode, drop)
+                assert labelled_frontiers(fast) == labelled_frontiers(slow), case
+                assert fast.iteration_sizes == slow.iteration_sizes, case
+                assert fast.status == slow.status, case
+                assert fast.stats.iterations == slow.stats.iterations, case
+                assert fast.stats.insertions == slow.stats.insertions, case
+                assert fast.stats.merge_operations == slow.stats.merge_operations, case
+                assert fast.stats.comparisons <= slow.stats.comparisons, case
+                saved += slow.stats.comparisons - fast.stats.comparisons
+    assert saved > 0
+
+
+# Exact solver work on a small sub-suite: a change in algorithmic work shows
+# up here as a diff.
+PINNED_STATS = {
+    "vector_demo.json": (
+        {"iterations": 3, "extractions": 0, "insertions": 6, "comparisons": 4, "merge_operations": 12},
+        {"iterations": 0, "extractions": 5, "insertions": 6, "comparisons": 3, "merge_operations": 0},
+    ),
+    "wcspr_demo.json": (
+        {"iterations": 4, "extractions": 0, "insertions": 7, "comparisons": 6, "merge_operations": 20},
+        {"iterations": 0, "extractions": 7, "insertions": 7, "comparisons": 7, "merge_operations": 0},
+    ),
+    "evsp_demo.json": (
+        {"iterations": 4, "extractions": 0, "insertions": 8, "comparisons": 15, "merge_operations": 16},
+        {"iterations": 0, "extractions": 8, "insertions": 9, "comparisons": 20, "merge_operations": 0},
+    ),
+    "tourist_demo.json": (
+        {"iterations": 4, "extractions": 0, "insertions": 6, "comparisons": 5, "merge_operations": 16},
+        {"iterations": 0, "extractions": 4, "insertions": 6, "comparisons": 2, "merge_operations": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STATS))
+def test_solver_work_counters_are_pinned_on_fixtures(name):
+    inst = load_instance(name)
+    bellman, mda = PINNED_STATS[name]
+    assert bellman_solve(inst, SolveMode.MIN).stats.to_dict() == bellman
+    assert mda_solve(inst, SolveMode.MIN).stats.to_dict() == mda
+
+
+def test_solver_work_counters_are_pinned_on_kn():
+    # The kn space has no linear extension, so only the fixpoint solver runs.
+    stats = bellman_solve(kn_instance(3, 5), SolveMode.MIN).stats.to_dict()
+    assert stats == {
+        "iterations": 6,
+        "extractions": 0,
+        "insertions": 124,
+        "comparisons": 5251,
+        "merge_operations": 18,
+    }
 
 
 def equal_weight_diamond():

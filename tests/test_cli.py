@@ -196,6 +196,63 @@ def test_solve_monotonicity_assertion_failure_exits_five(tmp_path):
     assert "monotonicity" in r.stderr
 
 
+def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
+    # Parts with different relation kinds make a quasi-transitive product,
+    # which the fixpoint solver answers by re-extending every frontier.
+    def chain(add):
+        return {str(w): str(min(w + add, 2)) for w in range(3)}
+
+    table_costs = {(0, 1): 0, (1, 2): 0, (0, 2): 2, (2, 0): 1}
+    mosp_costs = {(0, 1): 5, (1, 2): 5, (0, 2): 1, (2, 0): 1}
+    doc = {
+        "format_version": 1,
+        "name": "quasi-transitive-product",
+        "graph": {
+            "vertex_count": 3,
+            "arcs": [
+                {"tail": t, "head": h, "payload": {"first": None, "second": [c]}}
+                for (t, h), c in mosp_costs.items()
+            ],
+        },
+        "source": 0,
+        "weight_space": {
+            "kind": "product",
+            "params": {
+                "first": {
+                    "kind": "table",
+                    "params": {
+                        "weights": ["0", "1", "2"],
+                        "strict_pairs": [["0", "1"], ["1", "2"]],
+                        "initial": "0",
+                        "updates": [
+                            {"tail": t, "head": h, "entries": chain(c)}
+                            for (t, h), c in table_costs.items()
+                        ],
+                        "relation_kind": "antisymmetric-quasi-transitive",
+                    },
+                },
+                "second": {"kind": "mosp", "params": {"dimension": 1}},
+            },
+        },
+        "declared_properties": ["well-posed", "history-free", "weakly-independent"],
+    }
+    path = write_doc(tmp_path, doc)
+    r = run_cli("solve", path)
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["algorithm"] == "bellman"
+    inst = posp.parse_instance(doc)
+    assert inst.space.relation_kind == posp.QUASI_TRANSITIVE
+    oracle = posp.algorithms.brute_force_frontier(inst, 8)
+    got = [sorted(json.dumps(e["weight"]) for e in fr["entries"]) for fr in out["frontiers"]]
+    want = [
+        sorted(json.dumps(inst.space.render_weight(w)) for w in oracle.weights(v))
+        for v in range(inst.vertex_count)
+    ]
+    assert got == want
+    assert len(got[2]) == 2  # ("0", 10) via vertex 1 and ("2", 1) directly
+
+
 # ---------------------------------------------------------------------------
 # check.
 

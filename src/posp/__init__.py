@@ -44,8 +44,6 @@ from .core import (
     WELL_POSED,
     WeightSpace,
     build_instance,
-    compare,
-    extend,
     fold_weight,
     leo_pick,
     reconstruct_path,

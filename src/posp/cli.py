@@ -55,7 +55,6 @@ from .core import (
     MissingUpdateEntryError,
     NoLeoError,
     SUBPATH_OPTIMAL,
-    TableWeightSpace,
     ValidationError,
     WEAKLY_INDEPENDENT,
     WEAKLY_SUBPATH_OPTIMAL,
@@ -65,21 +64,11 @@ from .core import (
 )
 from .generators import MIN_STRUCTURES, kn_instance, random_instance
 from . import weights
+from .weights import _as_int, _req, build_space
 
 FORMAT_VERSION = 1
 
-WEIGHT_SPACE_KINDS = (
-    "mosp",
-    "bottleneck",
-    "subset",
-    "interval",
-    "fifo_time",
-    "wcspr",
-    "evsp",
-    "tourist",
-    "table",
-    "product",
-)
+WEIGHT_SPACE_KINDS = tuple(weights.SPACE_READERS)
 
 
 def _err(message: str) -> None:
@@ -98,228 +87,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, separators=(",", ":"), default=_json_default))
 
 
-def _req(mapping: Any, key: str, path: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise ValidationError("expected an object", path or "document")
-    if key not in mapping:
-        raise ValidationError("missing required field", f"{path}.{key}" if path else key)
-    return mapping[key]
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {value!r}", path)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Weight-space construction from document params + arc payloads.
-
-ArcItem = tuple[tuple[int, int], Any]
-
-
-def _payload_required(key: tuple[int, int], payload: Any):
-    if payload is None:
-        raise ValidationError(f"arc {key} needs a payload for this weight space", "graph.arcs")
-    return payload
-
-
-def _pair_payload(payload: Any, key: tuple[int, int], first: str, second: str):
-    if isinstance(payload, dict):
-        return payload[first] if first in payload else None, payload.get(second)
-    if isinstance(payload, (list, tuple)) and len(payload) == 2:
-        return payload[0], payload[1]
-    raise ValidationError(f"arc {key} payload must be a pair or an object", "graph.arcs")
-
-
-def build_space(kind: str, params: dict, arc_items: list[ArcItem], source: int) -> WeightSpace:
-    if kind not in WEIGHT_SPACE_KINDS:
-        raise ValidationError(
-            f"unknown weight space kind {kind!r} (expected one of {', '.join(WEIGHT_SPACE_KINDS)})",
-            "weight_space.kind",
-        )
-    p = params or {}
-
-    if kind == "mosp":
-        d = _as_int(_req(p, "dimension", "weight_space.params"), "weight_space.params.dimension")
-        costs = {key: _payload_required(key, payload) for key, payload in arc_items}
-        return weights.mosp_space(d, costs)
-
-    if kind == "bottleneck":
-        m = _as_int(
-            _req(p, "additive_dimension", "weight_space.params"),
-            "weight_space.params.additive_dimension",
-        )
-        n = _as_int(
-            _req(p, "bottleneck_dimension", "weight_space.params"),
-            "weight_space.params.bottleneck_dimension",
-        )
-        costs = {key: _payload_required(key, payload) for key, payload in arc_items}
-        return weights.bottleneck_space(m, n, costs, p.get("initial_bottleneck"))
-
-    if kind == "subset":
-        n = _as_int(
-            _req(p, "ground_set_size", "weight_space.params"),
-            "weight_space.params.ground_set_size",
-        )
-        sets = {}
-        for key, payload in arc_items:
-            payload = _payload_required(key, payload)
-            if not isinstance(payload, list):
-                raise ValidationError(f"arc {key} payload must be an element list", "graph.arcs")
-            sets[key] = [_as_int(e, f"arc {key} element") for e in payload]
-        return weights.subset_space(n, sets)
-
-    if kind == "interval":
-        alpha = _req(p, "alpha", "weight_space.params")
-        beta = _req(p, "beta", "weight_space.params")
-        ivs = {}
-        for key, payload in arc_items:
-            payload = _payload_required(key, payload)
-            c, w = _pair_payload(payload, key, "c", "w")
-            ivs[key] = (c, w)
-        return weights.interval_space(alpha, beta, ivs)
-
-    if kind == "fifo_time":
-        start = p.get("start_time", 0)
-        tables = {}
-        for key, payload in arc_items:
-            payload = _payload_required(key, payload)
-            if isinstance(payload, dict):
-                payload = _req(payload, "breakpoints", f"arc {key} payload")
-            if not isinstance(payload, list) or not all(
-                isinstance(bp, (list, tuple)) and len(bp) == 2 for bp in payload
-            ):
-                raise ValidationError(
-                    f"arc {key} payload must be a list of [departure, travel] pairs",
-                    "graph.arcs",
-                )
-            tables[key] = [(bp[0], bp[1]) for bp in payload]
-        return weights.fifo_time_space(start, tables)
-
-    if kind == "wcspr":
-        limit = _req(p, "limit", "weight_space.params")
-        data = {}
-        for key, payload in arc_items:
-            payload = _payload_required(key, payload)
-            if isinstance(payload, dict):
-                data[key] = payload
-            elif isinstance(payload, (list, tuple)) and len(payload) in (2, 3):
-                w, r = payload[0], payload[1]
-                repl = bool(payload[2]) if len(payload) == 3 else False
-                data[key] = (w, r, repl)
-            else:
-                raise ValidationError(f"arc {key} payload must give cost and resource", "graph.arcs")
-        return weights.wcspr_space(limit, data)
-
-    if kind == "evsp":
-        beta = _req(p, "initial_soc", "weight_space.params")
-        eps = _req(p, "epsilon", "weight_space.params")
-        stations_raw = p.get("stations", {})
-        if not isinstance(stations_raw, dict):
-            raise ValidationError("stations must map vertex to curve", "weight_space.params.stations")
-        curves = {}
-        for v_str, curve in stations_raw.items():
-            try:
-                v = int(v_str)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"station key {v_str!r} is not a vertex", "weight_space.params.stations"
-                ) from None
-            if not isinstance(curve, list):
-                raise ValidationError(f"station {v} curve must be a list", "weight_space.params.stations")
-            curves[v] = [(pt[0], pt[1]) for pt in curve]
-        roads = {}
-        for key, payload in arc_items:
-            if key[0] == key[1] and key[0] in curves:
-                continue  # station loop; the curve defines it
-            payload = _payload_required(key, payload)
-            t, d = _pair_payload(payload, key, "time", "delta")
-            roads[key] = (t, d)
-        return weights.evsp_space(beta, roads, curves, eps)
-
-    if kind == "tourist":
-        budget = _req(p, "budget", "weight_space.params")
-        values = _req(p, "values", "weight_space.params")
-        cats = _req(p, "categories", "weight_space.params")
-        q = _as_int(
-            _req(p, "category_count", "weight_space.params"),
-            "weight_space.params.category_count",
-        )
-        lengths = {}
-        for key, payload in arc_items:
-            payload = _payload_required(key, payload)
-            if isinstance(payload, dict):
-                payload = _req(payload, "length", f"arc {key} payload")
-            lengths[key] = payload
-        cats_int = [_as_int(c, "weight_space.params.categories") for c in cats]
-        return weights.tourist_space(budget, values, cats_int, q, lengths, source)
-
-    if kind == "table":
-        names = _req(p, "weights", "weight_space.params")
-        if not isinstance(names, list) or not all(isinstance(w, str) for w in names):
-            raise ValidationError("table weights must be a list of names", "weight_space.params.weights")
-        pairs_raw = p.get("strict_pairs", [])
-        pairs = []
-        for i, pair in enumerate(pairs_raw):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ValidationError(
-                    "each strict pair must be [lesser, greater]",
-                    f"weight_space.params.strict_pairs[{i}]",
-                )
-            pairs.append((pair[0], pair[1]))
-        initial = _req(p, "initial", "weight_space.params")
-        updates = {}
-        defaults = {}
-        for i, entry in enumerate(p.get("updates", [])):
-            path = f"weight_space.params.updates[{i}]"
-            tail = _as_int(_req(entry, "tail", path), f"{path}.tail")
-            head = _as_int(_req(entry, "head", path), f"{path}.head")
-            for w_name, result in (entry.get("entries") or {}).items():
-                updates[(w_name, (tail, head))] = result
-            if "default" in entry:
-                defaults[(tail, head)] = entry["default"]
-        table = TableWeightSpace(
-            weights=names,
-            strict_pairs=pairs,
-            updates=updates,
-            initial=initial,
-            defaults=defaults,
-            leo_order=p.get("leo"),
-            relation_kind=p.get("relation_kind", "partial-order"),
-        )
-        return table.as_space()
-
-    if kind == "product":
-        first_doc = _req(p, "first", "weight_space.params")
-        second_doc = _req(p, "second", "weight_space.params")
-        first_items = []
-        second_items = []
-        for key, payload in arc_items:
-            if payload is None:
-                first_items.append((key, None))
-                second_items.append((key, None))
-                continue
-            a, b = _pair_payload(payload, key, "first", "second")
-            first_items.append((key, a))
-            second_items.append((key, b))
-        first = build_space(
-            _req(first_doc, "kind", "weight_space.params.first"),
-            first_doc.get("params", {}),
-            first_items,
-            source,
-        )
-        second = build_space(
-            _req(second_doc, "kind", "weight_space.params.second"),
-            second_doc.get("params", {}),
-            second_items,
-            source,
-        )
-        return weights.product_space(first, second)
-
-    raise AssertionError("unreachable")
-
-
 def parse_instance(doc: Any) -> Instance:
     """Validate an instance document and build the instance it describes."""
     if not isinstance(doc, dict):
@@ -332,7 +99,7 @@ def parse_instance(doc: Any) -> Instance:
     arcs_raw = _req(graph, "arcs", "graph")
     if not isinstance(arcs_raw, list):
         raise ValidationError("arcs must be a list", "graph.arcs")
-    arc_items: list[ArcItem] = []
+    arc_items = []
     for i, arc in enumerate(arcs_raw):
         path = f"graph.arcs[{i}]"
         tail = _as_int(_req(arc, "tail", path), f"{path}.tail")

@@ -161,16 +161,6 @@ class WeightSpace:
         return self.render(weight)
 
 
-def compare(space: WeightSpace, a: Any, b: Any) -> ComparisonResult:
-    """Four-way comparison of two weights in `space`."""
-    return space.comparator(a, b)
-
-
-def extend(space: WeightSpace, weight: Any, arc: Arc) -> Any:
-    """Weight of a path extended along `arc`, given the path's weight."""
-    return space.update(weight, arc)
-
-
 def leo_pick(space: WeightSpace, a: Any, b: Any) -> str:
     """Which of two weights comes first in the space's linear extension.
 

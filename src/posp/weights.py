@@ -4,6 +4,13 @@ Every constructor returns a `core.WeightSpace`.  Arithmetic is exact: all
 numeric inputs are coerced to `fractions.Fraction` (strings like ``"3/4"`` and
 ``"0.5"`` are accepted; floats are read through their shortest decimal
 representation).  Arc data is supplied as mappings keyed by (tail, head).
+A record with named fields (a bottleneck arc's additive and capacity
+vectors, an interval's center and radius, ...) may be given as a dict keyed
+by the field names or as a list or tuple of the values in order.
+
+Each kind an instance document may name has a reader next to its
+constructor that takes the document's ``weight_space.params`` and arc
+payloads; `build_space` dispatches on the kind.
 
 Included structures:
 
@@ -30,23 +37,26 @@ Included structures:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Hashable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import (
     EQUAL,
     GREATER,
     INCOMPARABLE,
     LESS,
+    PARTIAL_ORDER,
+    QUASI_TRANSITIVE,
     Arc,
     ComparisonResult,
     DomainMismatchError,
     MissingUpdateEntryError,
-    QUASI_TRANSITIVE,
+    TableWeightSpace,
     ValidationError,
     WeightSpace,
 )
 
 ArcKey = tuple[int, int]
+ArcItem = tuple[ArcKey, Any]
 
 
 def as_fraction(value: Any, path: str = "") -> Fraction:
@@ -75,11 +85,73 @@ def render_rational(q: Fraction) -> int | str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# ---------------------------------------------------------------------------
+# Document shapes.
+
+
+def _req(mapping: Any, key: str, path: str) -> Any:
+    if not isinstance(mapping, dict):
+        raise ValidationError("expected an object", path or "document")
+    if key not in mapping:
+        raise ValidationError("missing required field", f"{path}.{key}" if path else key)
+    return mapping[key]
+
+
+def _as_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"expected an integer, got {value!r}", path)
+    return value
+
+
+def _sequence(data: Any, least: int, most: int, path: str) -> tuple:
+    """A list or tuple of `least` to `most` items."""
+    if not isinstance(data, (list, tuple)) or not least <= len(data) <= most:
+        count = least if least == most else f"{least} to {most}"
+        raise ValidationError(f"expected a list of {count} values", path)
+    return tuple(data)
+
+
+def _fields(data: Any, names: Sequence[str], path: str, defaults: Sequence[Any] = ()) -> tuple:
+    """The values of the fields `names`, read from a dict keyed by them or
+    from a list or tuple holding them in order.  The last len(defaults)
+    fields may be left out of either form and then take their defaults."""
+    need = len(names) - len(defaults)
+    if isinstance(data, dict):
+        given = [_req(data, name, path) for name in names[:need]]
+        return tuple(given + [data.get(name, d) for name, d in zip(names[need:], defaults)])
+    values = _sequence(data, need, len(names), path)
+    return values + tuple(defaults[len(values) - need :])
+
+
+def _unwrap(payload: Any, name: str, path: str) -> Any:
+    """A payload given bare or as the one field `name` of an object."""
+    return _req(payload, name, path) if isinstance(payload, dict) else payload
+
+
+def _payloads(arcs: Sequence[ArcItem]) -> dict[ArcKey, Any]:
+    """Arc payloads by arc key; every arc must carry one."""
+    for key, payload in arcs:
+        if payload is None:
+            raise ValidationError(f"arc {key} needs a payload for this weight space", "graph.arcs")
+    return dict(arcs)
+
+
+def _param(params: Mapping[str, Any], name: str) -> Any:
+    return _req(params, name, "weight_space.params")
+
+
+def _int_param(params: Mapping[str, Any], name: str) -> int:
+    return _as_int(_param(params, name), f"weight_space.params.{name}")
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError("expected a list", path)
+    return value
+
+
 def _fraction_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Fraction, ...]:
-    vec = tuple(as_fraction(v, path) for v in values)
-    if len(vec) != dim:
-        raise ValidationError(f"expected {dim} components, got {len(vec)}", path)
-    return vec
+    return tuple(as_fraction(v, path) for v in _sequence(values, dim, dim, path))
 
 
 def _vector_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> ComparisonResult:
@@ -97,6 +169,21 @@ def _vector_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> ComparisonR
         return LESS
     if ge:
         return GREATER
+    return INCOMPARABLE
+
+
+def _scalar_compare(x: Fraction, y: Fraction) -> ComparisonResult:
+    if x == y:
+        return EQUAL
+    return LESS if x < y else GREATER
+
+
+def _product_order(c1: ComparisonResult, c2: ComparisonResult) -> ComparisonResult:
+    """Combine two component comparisons: better only when both agree."""
+    if c1 is EQUAL:
+        return c2
+    if c2 is EQUAL or c2 is c1:
+        return c1
     return INCOMPARABLE
 
 
@@ -134,6 +221,10 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: 
         leo_key=lambda w: tuple(w),
         render=lambda w: [render_rational(x) for x in w],
     )
+
+
+def _read_mosp(params, arcs, source):
+    return mosp_space(_int_param(params, "dimension"), _payloads(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +276,12 @@ def bottleneck_space(
     data, which acts as a top element for the instance.
 
     Args:
-        arc_costs: per arc, a pair (additive vector, capacity vector) — as a
-            2-tuple/list or a mapping with keys "additive" and "bottleneck".
+        arc_costs: per arc, the fields "additive" and "bottleneck" (vectors).
     """
     adds: dict[ArcKey, tuple[Fraction, ...]] = {}
     caps: dict[ArcKey, tuple[Fraction, ...]] = {}
     for key, data in arc_costs.items():
-        if isinstance(data, Mapping):
-            add_part, cap_part = data["additive"], data["bottleneck"]
-        else:
-            add_part, cap_part = data
+        add_part, cap_part = _fields(data, ("additive", "bottleneck"), f"arc {key}")
         adds[key] = _fraction_vector(add_part, additive_dimension, f"arc {key} additive")
         caps[key] = _fraction_vector(cap_part, bottleneck_dimension, f"arc {key} bottleneck")
 
@@ -208,15 +295,7 @@ def bottleneck_space(
         top = (Fraction(0),) * bottleneck_dimension
 
     def comparator(a, b):
-        add_cmp = _vector_compare(a[0], b[0])
-        cap_cmp = _vector_compare(a[1], b[1]).flipped()
-        if add_cmp is EQUAL and cap_cmp is EQUAL:
-            return EQUAL
-        if add_cmp in (LESS, EQUAL) and cap_cmp in (LESS, EQUAL):
-            return LESS
-        if add_cmp in (GREATER, EQUAL) and cap_cmp in (GREATER, EQUAL):
-            return GREATER
-        return INCOMPARABLE
+        return _product_order(_vector_compare(a[0], b[0]), _vector_compare(a[1], b[1]).flipped())
 
     def update(w, arc):
         a = _arc_data(adds, arc, name)
@@ -236,6 +315,15 @@ def bottleneck_space(
             "additive": [render_rational(x) for x in w[0]],
             "bottleneck": [render_rational(x) for x in w[1]],
         },
+    )
+
+
+def _read_bottleneck(params, arcs, source):
+    return bottleneck_space(
+        _int_param(params, "additive_dimension"),
+        _int_param(params, "bottleneck_dimension"),
+        _payloads(arcs),
+        params.get("initial_bottleneck"),
     )
 
 
@@ -288,6 +376,16 @@ def subset_space(
     )
 
 
+def _read_subset(params, arcs, source):
+    ground_set_size = _int_param(params, "ground_set_size")
+    sets = {}
+    for key, payload in _payloads(arcs).items():
+        if not isinstance(payload, list):
+            raise ValidationError(f"arc {key} payload must be an element list", "graph.arcs")
+        sets[key] = [_as_int(e, f"arc {key} element") for e in payload]
+    return subset_space(ground_set_size, sets)
+
+
 # ---------------------------------------------------------------------------
 # Cost intervals.
 
@@ -311,10 +409,7 @@ def interval_space(
         )
     intervals: dict[ArcKey, tuple[Fraction, Fraction]] = {}
     for key, data in arc_intervals.items():
-        if isinstance(data, Mapping):
-            c_val, w_val = data["c"], data["w"]
-        else:
-            c_val, w_val = data
+        c_val, w_val = _fields(data, ("c", "w"), f"arc {key}")
         c = as_fraction(c_val, f"arc {key} c")
         w = as_fraction(w_val, f"arc {key} w")
         if w < 0:
@@ -355,8 +450,37 @@ def interval_space(
     )
 
 
+def _read_interval(params, arcs, source):
+    return interval_space(_param(params, "alpha"), _param(params, "beta"), _payloads(arcs))
+
+
 # ---------------------------------------------------------------------------
 # FIFO time-dependent arrival.
+
+
+def _points(points: Any, path: str, x_name: str, y_name: str) -> list[tuple[Fraction, Fraction]]:
+    """A nonempty list of [x, y] pairs whose x values strictly increase."""
+    if not isinstance(points, (list, tuple)) or not points:
+        raise ValidationError(f"expected a nonempty list of [{x_name}, {y_name}] pairs", path)
+    pts = []
+    for i, pt in enumerate(points):
+        x, y = _sequence(pt, 2, 2, f"{path}[{i}]")
+        pts.append(
+            (as_fraction(x, f"{path}[{i}].{x_name}"), as_fraction(y, f"{path}[{i}].{y_name}"))
+        )
+    if any(x0 >= x1 for (x0, _), (x1, _) in zip(pts, pts[1:])):
+        raise ValidationError(f"{x_name} values must strictly increase", path)
+    return pts
+
+
+def _interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
+    """Piecewise-linear through `points`, constant before the first and after the last."""
+    if x <= points[0][0]:
+        return points[0][1]
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    return points[-1][1]
 
 
 class TravelTimeTable:
@@ -368,19 +492,11 @@ class TravelTimeTable:
     piecewise-linear interpolation with constant extrapolation.
     """
 
-    def __init__(self, breakpoints: Sequence[tuple[Any, Any]], path: str = "table"):
-        if not breakpoints:
-            raise ValidationError("travel-time table needs at least one breakpoint", path)
-        pts = []
-        for i, (tau, t) in enumerate(breakpoints):
-            tau_f = as_fraction(tau, f"{path}[{i}].departure")
-            t_f = as_fraction(t, f"{path}[{i}].travel")
-            if t_f < 0:
-                raise ValidationError(f"negative travel time {t_f}", f"{path}[{i}]")
-            pts.append((tau_f, t_f))
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if t0 >= t1:
-                raise ValidationError("departure breakpoints must strictly increase", path)
+    def __init__(self, breakpoints: Sequence[Any], path: str = "table"):
+        pts = _points(breakpoints, path, "departure", "travel")
+        for i, (_, t) in enumerate(pts):
+            if t < 0:
+                raise ValidationError(f"negative travel time {t}", f"{path}[{i}]")
         for (tau0, tt0), (tau1, tt1) in zip(pts, pts[1:]):
             if tau0 + tt0 > tau1 + tt1:
                 raise ValidationError(
@@ -390,20 +506,12 @@ class TravelTimeTable:
         self.points = pts
 
     def travel(self, tau: Fraction) -> Fraction:
-        pts = self.points
-        if tau <= pts[0][0]:
-            return pts[0][1]
-        if tau >= pts[-1][0]:
-            return pts[-1][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= tau <= x1:
-                return y0 + (y1 - y0) * (tau - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        return _interpolate(self.points, tau)
 
 
 def fifo_time_space(
     start_time: Any,
-    arc_tables: Mapping[ArcKey, Sequence[tuple[Any, Any]]],
+    arc_tables: Mapping[ArcKey, Sequence[Any]],
     name: str = "fifo_time",
 ) -> WeightSpace:
     """Arrival time through FIFO travel-time tables; totally ordered."""
@@ -414,23 +522,26 @@ def fifo_time_space(
         key: TravelTimeTable(bps, path=f"arc {key}") for key, bps in arc_tables.items()
     }
 
-    def comparator(x: Fraction, y: Fraction) -> ComparisonResult:
-        if x == y:
-            return EQUAL
-        return LESS if x < y else GREATER
-
     def update(tau: Fraction, arc: Arc) -> Fraction:
         table = _arc_data(tables, arc, name)
         return tau + table.travel(tau)
 
     return WeightSpace(
         name=name,
-        comparator=comparator,
+        comparator=_scalar_compare,
         update=update,
         initial=tau0,
         leo_key=lambda tau: (tau,),
         render=render_rational,
     )
+
+
+def _read_fifo_time(params, arcs, source):
+    tables = {
+        key: _unwrap(payload, "breakpoints", f"arc {key} payload")
+        for key, payload in _payloads(arcs).items()
+    }
+    return fifo_time_space(params.get("start_time", 0), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +562,22 @@ def wcspr_space(
     every arc has positive cost.
 
     Args:
-        arc_data: per arc, (cost, resource) plus a replenishment flag — as a
-            3-tuple or a mapping with keys "w", "r", "replenish".
+        arc_data: per arc, the fields "w" (cost), "r" (resource) and
+            optionally "replenish" (a flag, false when left out).
     """
     m = as_fraction(limit, "weight_space.params.limit")
     if m <= 0:
         raise ValidationError("resource limit must be positive", "weight_space.params.limit")
     data: dict[ArcKey, tuple[Fraction, Fraction, bool]] = {}
     for key, entry in arc_data.items():
-        if isinstance(entry, Mapping):
-            w_val, r_val = entry["w"], entry["r"]
-            repl = bool(entry.get("replenish", False))
-        else:
-            w_val, r_val, repl = entry
-            repl = bool(repl)
+        w_val, r_val, repl = _fields(entry, ("w", "r", "replenish"), f"arc {key}", (False,))
         w = as_fraction(w_val, f"arc {key} w")
         r = as_fraction(r_val, f"arc {key} r")
         if w < 0 or r < 0:
             raise ValidationError(f"arc {key} needs nonnegative cost and resource", "weight_space.params")
         if r > m:
             raise ValidationError(f"arc {key} resource {r} exceeds the limit {m}", "weight_space.params")
-        data[key] = (w, r, repl)
+        data[key] = (w, r, bool(repl))
 
     def update(wv: tuple[Fraction, Fraction], arc: Arc) -> tuple[Fraction, Fraction]:
         w, r, repl = _arc_data(data, arc, name)
@@ -494,6 +600,10 @@ def wcspr_space(
     )
 
 
+def _read_wcspr(params, arcs, source):
+    return wcspr_space(_param(params, "limit"), _payloads(arcs))
+
+
 # ---------------------------------------------------------------------------
 # Electric vehicle routing with charging stations.
 
@@ -507,34 +617,19 @@ class ChargeCurve:
     segments).
     """
 
-    def __init__(self, points: Sequence[tuple[Any, Any]], path: str = "curve"):
-        if not points:
-            raise ValidationError("charging curve needs at least one point", path)
-        pts = []
-        for i, (t, y) in enumerate(points):
-            t_f = as_fraction(t, f"{path}[{i}].time")
-            y_f = as_fraction(y, f"{path}[{i}].soc")
-            if not (0 <= y_f <= 1):
-                raise ValidationError(f"state of charge {y_f} outside [0, 1]", f"{path}[{i}]")
-            pts.append((t_f, y_f))
-        for (t0, y0), (t1, y1) in zip(pts, pts[1:]):
-            if t0 >= t1:
-                raise ValidationError("curve times must strictly increase", path)
+    def __init__(self, points: Sequence[Any], path: str = "curve"):
+        pts = _points(points, path, "time", "soc")
+        for i, (_, y) in enumerate(pts):
+            if not (0 <= y <= 1):
+                raise ValidationError(f"state of charge {y} outside [0, 1]", f"{path}[{i}]")
+        for (_, y0), (_, y1) in zip(pts, pts[1:]):
             if y0 > y1:
                 raise ValidationError("curve must be non-decreasing", path)
         self.points = pts
         self.max_soc = pts[-1][1]
 
     def value(self, t: Fraction) -> Fraction:
-        pts = self.points
-        if t <= pts[0][0]:
-            return pts[0][1]
-        if t >= pts[-1][0]:
-            return pts[-1][1]
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x0 <= t <= x1:
-                return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
+        return _interpolate(self.points, t)
 
     def earliest_time(self, y: Fraction) -> Fraction:
         """Smallest table time whose state of charge reaches y (y <= max)."""
@@ -558,7 +653,7 @@ class ChargeCurve:
 def evsp_space(
     initial_soc: Any,
     road_arcs: Mapping[ArcKey, Any],
-    station_curves: Mapping[int, Sequence[tuple[Any, Any]]],
+    station_curves: Mapping[int, Sequence[Any]],
     epsilon: Any,
     name: str = "evsp",
 ) -> WeightSpace:
@@ -570,8 +665,8 @@ def evsp_space(
     marks the weight infeasible.
 
     Args:
-        road_arcs: per road arc, (travel time, charge consumption) — a pair
-            or a mapping with keys "time" and "delta".
+        road_arcs: per road arc, the fields "time" (travel time) and "delta"
+            (charge consumption).
         station_curves: per station vertex, the sampled charging curve.
     """
     beta = as_fraction(initial_soc, "weight_space.params.initial_soc")
@@ -582,10 +677,7 @@ def evsp_space(
         raise ValidationError("epsilon must be positive", "weight_space.params.epsilon")
     roads: dict[ArcKey, tuple[Fraction, Fraction]] = {}
     for key, entry in road_arcs.items():
-        if isinstance(entry, Mapping):
-            t_val, d_val = entry["time"], entry["delta"]
-        else:
-            t_val, d_val = entry
+        t_val, d_val = _fields(entry, ("time", "delta"), f"arc {key}")
         t = as_fraction(t_val, f"arc {key} time")
         d = as_fraction(d_val, f"arc {key} delta")
         if t <= 0:
@@ -599,15 +691,8 @@ def evsp_space(
             raise ValidationError(f"vertex {v} has both a road loop and a station", "weight_space.params")
 
     def comparator(u, v):
-        t_cmp = LESS if u[0] < v[0] else GREATER if u[0] > v[0] else EQUAL
-        y_cmp = LESS if u[1] > v[1] else GREATER if u[1] < v[1] else EQUAL
-        if t_cmp is EQUAL and y_cmp is EQUAL:
-            return EQUAL
-        if t_cmp in (LESS, EQUAL) and y_cmp in (LESS, EQUAL):
-            return LESS
-        if t_cmp in (GREATER, EQUAL) and y_cmp in (GREATER, EQUAL):
-            return GREATER
-        return INCOMPARABLE
+        # A higher state of charge is better, so its arguments swap.
+        return _product_order(_scalar_compare(u[0], v[0]), _scalar_compare(v[1], u[1]))
 
     def update(wv, arc):
         t_cur, y = wv
@@ -631,6 +716,25 @@ def evsp_space(
         infeasible=lambda wv: wv[1] == 0,
         render=lambda wv: {"time": render_rational(wv[0]), "soc": render_rational(wv[1])},
     )
+
+
+def _read_evsp(params, arcs, source):
+    initial_soc = _param(params, "initial_soc")
+    epsilon = _param(params, "epsilon")
+    stations = params.get("stations", {})
+    if not isinstance(stations, dict):
+        raise ValidationError("stations must map vertex to curve", "weight_space.params.stations")
+    curves = {}
+    for v, curve in stations.items():
+        try:
+            curves[int(v)] = curve
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"station key {v!r} is not a vertex", "weight_space.params.stations"
+            ) from None
+    # A loop at a station charges along the station's curve and needs no payload.
+    roads = [(key, payload) for key, payload in arcs if not (key[0] == key[1] and key[0] in curves)]
+    return evsp_space(initial_soc, _payloads(roads), curves, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +775,8 @@ def tourist_space(
     for key, l in lengths.items():
         if l < 0:
             raise ValidationError(f"arc {key} has negative length", "weight_space.params")
+        if not (0 <= key[1] < n):
+            raise ValidationError(f"arc {key} enters a vertex with no value", "weight_space.params")
     if not (0 <= source < n):
         raise ValidationError("source out of range", "weight_space.params")
 
@@ -682,15 +788,7 @@ def tourist_space(
     initial = (Fraction(0), tuple(init_values))
 
     def comparator(u, v):
-        len_cmp = LESS if u[0] < v[0] else GREATER if u[0] > v[0] else EQUAL
-        val_cmp = _vector_compare(u[1], v[1]).flipped()
-        if len_cmp is EQUAL and val_cmp is EQUAL:
-            return EQUAL
-        if len_cmp in (LESS, EQUAL) and val_cmp in (LESS, EQUAL):
-            return LESS
-        if len_cmp in (GREATER, EQUAL) and val_cmp in (GREATER, EQUAL):
-            return GREATER
-        return INCOMPARABLE
+        return _product_order(_scalar_compare(u[0], v[0]), _vector_compare(u[1], v[1]).flipped())
 
     def update(wv, arc):
         if wv == sentinel:
@@ -719,6 +817,76 @@ def tourist_space(
     )
 
 
+def _read_tourist(params, arcs, source):
+    categories = _list(_param(params, "categories"), "weight_space.params.categories")
+    return tourist_space(
+        _param(params, "budget"),
+        _list(_param(params, "values"), "weight_space.params.values"),
+        [_as_int(c, "weight_space.params.categories") for c in categories],
+        _int_param(params, "category_count"),
+        {
+            key: _unwrap(payload, "length", f"arc {key} payload")
+            for key, payload in _payloads(arcs).items()
+        },
+        source,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Explicit tables (`core.TableWeightSpace`).
+
+
+def _name(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"expected a weight name, got {value!r}", path)
+    return value
+
+
+def _names(value: Any, path: str) -> list[str]:
+    if not all(isinstance(w, str) for w in _list(value, path)):
+        raise ValidationError("expected a list of weight names", path)
+    return value
+
+
+def _read_table(params, arcs, source):
+    path = "weight_space.params"
+    names = _names(_param(params, "weights"), f"{path}.weights")
+    pairs = [
+        _sequence(pair, 2, 2, f"{path}.strict_pairs[{i}]")
+        for i, pair in enumerate(_list(params.get("strict_pairs", []), f"{path}.strict_pairs"))
+    ]
+    _names([w for pair in pairs for w in pair], f"{path}.strict_pairs")
+    initial = _name(_param(params, "initial"), f"{path}.initial")
+    updates = {}
+    defaults = {}
+    for i, entry in enumerate(_list(params.get("updates", []), f"{path}.updates")):
+        entry_path = f"{path}.updates[{i}]"
+        tail = _as_int(_req(entry, "tail", entry_path), f"{entry_path}.tail")
+        head = _as_int(_req(entry, "head", entry_path), f"{entry_path}.head")
+        entries = entry.get("entries") or {}
+        if not isinstance(entries, dict) or not all(isinstance(r, str) for r in entries.values()):
+            raise ValidationError("expected an object of weight names", f"{entry_path}.entries")
+        updates.update(((w_name, (tail, head)), result) for w_name, result in entries.items())
+        if "default" in entry:
+            defaults[(tail, head)] = _name(entry["default"], f"{entry_path}.default")
+    leo = params.get("leo")
+    relation_kind = params.get("relation_kind", PARTIAL_ORDER)
+    if relation_kind not in (PARTIAL_ORDER, QUASI_TRANSITIVE):
+        raise ValidationError(
+            f"expected {PARTIAL_ORDER!r} or {QUASI_TRANSITIVE!r}, got {relation_kind!r}",
+            f"{path}.relation_kind",
+        )
+    return TableWeightSpace(
+        weights=names,
+        strict_pairs=pairs,
+        updates=updates,
+        initial=initial,
+        defaults=defaults,
+        leo_order=None if leo is None else _names(leo, f"{path}.leo"),
+        relation_kind=relation_kind,
+    ).as_space()
+
+
 # ---------------------------------------------------------------------------
 # Product of two spaces.
 
@@ -733,15 +901,7 @@ def product_space(first: WeightSpace, second: WeightSpace, name: str | None = No
     label = name or f"product({first.name},{second.name})"
 
     def comparator(u, v):
-        c1 = first.comparator(u[0], v[0])
-        c2 = second.comparator(u[1], v[1])
-        if c1 is EQUAL and c2 is EQUAL:
-            return EQUAL
-        if c1 in (LESS, EQUAL) and c2 in (LESS, EQUAL):
-            return LESS
-        if c1 in (GREATER, EQUAL) and c2 in (GREATER, EQUAL):
-            return GREATER
-        return INCOMPARABLE
+        return _product_order(first.comparator(u[0], v[0]), second.comparator(u[1], v[1]))
 
     def update(wv, arc):
         return (first.update(wv[0], arc), second.update(wv[1], arc))
@@ -769,6 +929,68 @@ def product_space(first: WeightSpace, second: WeightSpace, name: str | None = No
         render=lambda wv: [first.render_weight(wv[0]), second.render_weight(wv[1])],
         infeasible=infeasible if has_flag else None,
     )
+
+
+def _read_product(params, arcs, source):
+    """Each part is a weight-space document; an arc payload holds the parts'
+    payloads in the fields "first" and "second", either of which may be
+    left out (as may the whole payload) for a part that reads none."""
+    first_doc = _param(params, "first")
+    second_doc = _param(params, "second")
+    first_arcs = []
+    second_arcs = []
+    for key, payload in arcs:
+        a, b = (
+            (None, None)
+            if payload is None
+            else _fields(payload, ("first", "second"), f"arc {key}", (None, None))
+        )
+        first_arcs.append((key, a))
+        second_arcs.append((key, b))
+    first = _read_part(first_doc, "weight_space.params.first", first_arcs, source)
+    second = _read_part(second_doc, "weight_space.params.second", second_arcs, source)
+    return product_space(first, second)
+
+
+def _read_part(doc: Any, path: str, arcs: list[ArcItem], source: int) -> WeightSpace:
+    return build_space(_req(doc, "kind", path), doc.get("params", {}), arcs, source)
+
+
+# ---------------------------------------------------------------------------
+# Instance documents.
+
+#: Document kind -> reader of its params, arc payloads and source.
+SPACE_READERS: dict[str, Callable[[Mapping[str, Any], Sequence[ArcItem], int], WeightSpace]] = {
+    "mosp": _read_mosp,
+    "bottleneck": _read_bottleneck,
+    "subset": _read_subset,
+    "interval": _read_interval,
+    "fifo_time": _read_fifo_time,
+    "wcspr": _read_wcspr,
+    "evsp": _read_evsp,
+    "tourist": _read_tourist,
+    "table": _read_table,
+    "product": _read_product,
+}
+
+
+def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: int) -> WeightSpace:
+    """The weight space of an instance document's ``weight_space`` object.
+
+    `params` is its ``params`` object and `arc_items` holds one
+    ((tail, head), payload) pair per arc, with payload None where the arc
+    has none.  Malformed input raises ValidationError.
+    """
+    reader = SPACE_READERS.get(kind) if isinstance(kind, str) else None
+    if reader is None:
+        raise ValidationError(
+            f"unknown weight space kind {kind!r} (expected one of {', '.join(SPACE_READERS)})",
+            "weight_space.kind",
+        )
+    params = params or {}
+    if not isinstance(params, dict):
+        raise ValidationError("expected an object", "weight_space.params")
+    return reader(params, arc_items, source)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import posp
+from posp import cli
 
 
 def fixture_file(name: str) -> str:
@@ -105,6 +109,97 @@ def test_cli_reports_unreadable_and_invalid_files(tmp_path):
     r = run_cli("solve", str(bad))
     assert r.returncode == 2
     assert "JSON" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents end in exit code 2, never in a traceback.
+
+
+def fixture_doc(name):
+    return json.loads(posp.fixture_path(name).read_text())
+
+
+def with_arc_payload(name, payload):
+    doc = fixture_doc(name)
+    doc["graph"]["arcs"][0]["payload"] = payload
+    return doc
+
+
+def with_params(name, **values):
+    doc = fixture_doc(name)
+    doc["weight_space"]["params"].update(values)
+    return doc
+
+
+def with_table_entries(value):
+    doc = fixture_doc("dependent_extension.json")
+    doc["weight_space"]["params"]["updates"][0]["entries"] = value
+    return doc
+
+
+MALFORMED = {
+    "mosp-scalar-payload": with_arc_payload("vector_demo.json", 5),
+    "bottleneck-payload-without-bottleneck": with_arc_payload(
+        "bottleneck_demo.json", {"additive": [3]}
+    ),
+    "bottleneck-payload-3-list": with_arc_payload("bottleneck_demo.json", [[3], [5], [1]]),
+    "bottleneck-scalar-payload": with_arc_payload("bottleneck_demo.json", 7),
+    "wcspr-payload-without-w": with_arc_payload("wcspr_demo.json", {"r": 6}),
+    "evsp-scalar-curve-point": with_params("evsp_demo.json", stations={"1": [[0, 0], 1, [2, 1]]}),
+    "evsp-3-component-curve-point": with_params(
+        "evsp_demo.json", stations={"1": [[0, 0, 5], [1, 0.6], [2, 1]]}
+    ),
+    "table-entries-list": with_table_entries([["0", "1"]]),
+    "table-updates-int": with_params("dependent_extension.json", updates=3),
+    "table-strict-pairs-int": with_params("dependent_extension.json", strict_pairs=3),
+    "tourist-scalar-categories": with_params("tourist_demo.json", categories=0),
+    "tourist-scalar-values": with_params("tourist_demo.json", values=3),
+    "tourist-arc-into-a-vertex-without-a-value": with_params(
+        "tourist_demo.json", values=[3, 5, 2], categories=[0, 0, 1]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_exits_two(case, tmp_path, capsys):
+    path = write_doc(tmp_path, MALFORMED[case])
+    assert cli.main(["solve", path, "--force"]) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err
+    assert captured.out == ""
+
+
+WRONG_SHAPES = (None, 7, "x", [], {}, [1, 2, 3], [[1, 2], [3]], True)
+
+
+def replaceable_slots(value):
+    """(container, key) for every value nested in a params object or payload."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    slots = []
+    for key, inner in items:
+        slots.append((value, key))
+        slots.extend(replaceable_slots(inner))
+    return slots
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_wrong_shapes_end_in_a_documented_exit_code(name, data, tmp_path_factory):
+    doc = fixture_doc(name)
+    slots = replaceable_slots(doc["weight_space"]["params"])
+    for arc in doc["graph"]["arcs"]:
+        slots.append((arc, "payload"))
+        slots.extend(replaceable_slots(arc.get("payload")))
+    container, key = data.draw(st.sampled_from(slots))
+    container[key] = data.draw(st.sampled_from(WRONG_SHAPES))
+    path = write_doc(tmp_path_factory.mktemp("fuzz"), doc)
+    assert cli.main(["solve", path, "--force"]) in (0, 2, 3, 4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +500,24 @@ def test_bench_stdout_is_byte_identical_across_runs():
     assert run_cli(*cmd).stdout == run_cli(*cmd).stdout
     kn = ("bench", "--suite", "kn-worst-case", "--n", "3", "--m", "3")
     assert run_cli(*kn).stdout == run_cli(*kn).stdout
+
+
+# ---------------------------------------------------------------------------
+# The README's examples.
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_document_example_parses_and_names_every_kind():
+    section = README.split("### Instance document shape", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert posp.parse_instance(json.loads(example)).vertex_count == 4
+    kinds = section.split("Weight-space kinds:", 1)[1].split(".", 1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", kinds)) == cli.WEIGHT_SPACE_KINDS
+
+
+def test_readme_library_example_prints_what_it_shows(capsys):
+    example = README.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(example, {})
+    shown = [line[2:] for line in example.splitlines() if line.startswith("# ")]
+    assert capsys.readouterr().out.splitlines() == shown

@@ -21,7 +21,6 @@ from posp import (
     TableWeightSpace,
     ValidationError,
     build_instance,
-    compare,
     fold_weight,
     leo_pick,
     reconstruct_path,
@@ -224,12 +223,3 @@ def test_fold_weight_rejects_broken_path():
     inst = posp.parse_instance(load_fixture("vector_demo.json"))
     with pytest.raises(ValidationError):
         fold_weight(inst, [0, 3, 1])  # no arc 3 -> 1
-
-
-def test_compare_and_extend_are_thin_wrappers():
-    inst = posp.parse_instance(load_fixture("vector_demo.json"))
-    s = inst.space
-    a = s.update(s.initial, inst.arc_between(0, 1))
-    b = s.update(s.initial, inst.arc_between(0, 2))
-    assert compare(s, a, b) is INCOMPARABLE
-    assert posp.extend(s, s.initial, inst.arc_between(0, 1)) == a

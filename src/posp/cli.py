@@ -15,6 +15,7 @@ assertion failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -32,6 +33,7 @@ from .algorithms import (
 )
 from .conditions import (
     DEFAULT_DEPTH,
+    PathSample,
     PropertySet,
     check_history_free,
     check_independence,
@@ -42,22 +44,14 @@ from .conditions import (
     permitted_algorithms,
 )
 from .core import (
-    ARC_INCREASING,
     BudgetExceededError,
-    CYCLE_INCREASING,
-    CYCLE_NON_DECREASING,
     DomainMismatchError,
-    HISTORY_FREE,
-    INDEPENDENT,
     Instance,
     LEO_MONOTONE,
     LeoMonotonicityError,
     MissingUpdateEntryError,
     NoLeoError,
-    SUBPATH_OPTIMAL,
     ValidationError,
-    WEAKLY_INDEPENDENT,
-    WEAKLY_SUBPATH_OPTIMAL,
     WeightSpace,
     build_instance,
     reconstruct_path,
@@ -248,19 +242,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each runner looks its checker up in this module when called, so a wrapper
+# installed on `cli.check_*` sees every call.
 _CONDITION_RUNNERS = {
-    "history-free": lambda inst, d: check_history_free(inst, d),
-    "independent": lambda inst, d: check_independence(inst, d, mode="strict"),
-    "weakly-independent": lambda inst, d: check_independence(inst, d, mode="weak"),
-    "arc-non-decreasing": lambda inst, d: check_monotonicity(inst, d, kind="arc-non-decreasing"),
-    "arc-increasing": lambda inst, d: check_monotonicity(inst, d, kind="arc-increasing"),
-    "strict-arc": lambda inst, d: check_monotonicity(inst, d, kind="strict-arc"),
-    "cycle-non-decreasing": lambda inst, d: check_monotonicity(inst, d, kind="cycle-non-decreasing"),
-    "cycle-increasing": lambda inst, d: check_monotonicity(inst, d, kind="cycle-increasing"),
-    "strict-cycle": lambda inst, d: check_monotonicity(inst, d, kind="strict-cycle"),
-    "subpath-optimal": lambda inst, d: check_subpath_optimality(inst, d, mode="strong"),
-    "weakly-subpath-optimal": lambda inst, d: check_subpath_optimality(inst, d, mode="weak"),
-    "linear-extension": lambda inst, d: check_linear_extension(inst, d),
+    "history-free": lambda inst, d, paths: check_history_free(inst, d, paths=paths),
+    "independent": lambda inst, d, paths: check_independence(inst, d, "strict", paths),
+    "weakly-independent": lambda inst, d, paths: check_independence(inst, d, "weak", paths),
+    "arc-non-decreasing": lambda inst, d, paths: check_monotonicity(inst, d, "arc-non-decreasing", paths),
+    "arc-increasing": lambda inst, d, paths: check_monotonicity(inst, d, "arc-increasing", paths),
+    "strict-arc": lambda inst, d, paths: check_monotonicity(inst, d, "strict-arc", paths),
+    "cycle-non-decreasing": lambda inst, d, paths: check_monotonicity(inst, d, "cycle-non-decreasing", paths),
+    "cycle-increasing": lambda inst, d, paths: check_monotonicity(inst, d, "cycle-increasing", paths),
+    "strict-cycle": lambda inst, d, paths: check_monotonicity(inst, d, "strict-cycle", paths),
+    "subpath-optimal": lambda inst, d, paths: check_subpath_optimality(inst, d, "strong", paths),
+    "weakly-subpath-optimal": lambda inst, d, paths: check_subpath_optimality(inst, d, "weak", paths),
+    "linear-extension": lambda inst, d, paths: check_linear_extension(inst, d, paths=paths),
 }
 
 _DEFAULT_CONDITIONS = (
@@ -275,23 +271,11 @@ _DEFAULT_CONDITIONS = (
     "weakly-subpath-optimal",
 )
 
-# Report name -> declared property it refutes when violated.
-_CONDITION_TO_PROPERTY = {
-    "history-free": HISTORY_FREE,
-    "independent": INDEPENDENT,
-    "weakly-independent": WEAKLY_INDEPENDENT,
-    "arc-increasing": ARC_INCREASING,
-    "cycle-increasing": CYCLE_INCREASING,
-    "cycle-non-decreasing": CYCLE_NON_DECREASING,
-    "subpath-optimal": SUBPATH_OPTIMAL,
-    "weakly-subpath-optimal": WEAKLY_SUBPATH_OPTIMAL,
-    "linear-extension": LEO_MONOTONE,
-}
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    instance = parse_instance(_load_document(args.file))
     depth = args.depth
+    if depth < 0:
+        raise ValidationError(f"--depth must be non-negative, got {depth}")
+    instance = parse_instance(_load_document(args.file))
     if args.conditions:
         names = [c.strip() for c in args.conditions.split(",") if c.strip()]
         unknown = [c for c in names if c not in _CONDITION_RUNNERS]
@@ -305,15 +289,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         if instance.space.leo_key is not None:
             names.append("linear-extension")
 
-    reports = [_CONDITION_RUNNERS[name](instance, depth) for name in names]
-    closed = PropertySet(instance.declared).closed()
-    violated_declared = sorted(
-        {
-            _CONDITION_TO_PROPERTY[r.name]
-            for r in reports
-            if not r.holds and _CONDITION_TO_PROPERTY.get(r.name) in closed
-        }
-    )
+    paths = PathSample(instance)
+    reports = [_CONDITION_RUNNERS[name](instance, depth, paths) for name in names]
+    # A violated report refutes the property of its own name, except the
+    # linear-extension audit, which refutes leo-monotone.  The names that are
+    # no property (arc-non-decreasing, strict-arc, strict-cycle) cannot be in
+    # the closure: an instance rejects unknown declared properties.
+    refuted = {
+        LEO_MONOTONE if r.name == "linear-extension" else r.name
+        for r in reports
+        if not r.holds
+    }
+    violated_declared = sorted(refuted & PropertySet(instance.declared).closed())
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "check",
@@ -331,6 +318,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.max_len < 0:
+        raise ValidationError(f"--max-len must be non-negative, got {args.max_len}")
     instance = parse_instance(_load_document(args.file))
     mode = SolveMode.MIN if args.variant == "min" else SolveMode.MAX
     result = brute_force_frontier(instance, args.max_len, mode)
@@ -485,7 +474,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # Entry point.
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="posp",
         description="Solvers and property checkers for partially ordered path weights.",

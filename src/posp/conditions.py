@@ -10,6 +10,12 @@ update function, two paths with equal weight extend equally; the checkers
 therefore examine one representative path per distinct weight at each vertex,
 which covers all pairs for such structures.
 
+Every checker reads its paths from a `PathSample`; `posp check` hands one
+sample to all of them, so a document's paths are enumerated once, and a
+checker called without one builds its own.  The arc, cycle and
+linear-extension checks read paths of at most depth - 1 arcs, since they
+extend each path by at least one arc; the others read paths of at most depth.
+
 `recommend_algorithm` evaluates declared properties against the selection
 table: each row lists the properties that must be declared (closed under the
 implications) for an algorithm/problem combination to be safe, the further
@@ -83,26 +89,60 @@ def _render(instance: Instance, w: Any) -> Any:
     return instance.space.render_weight(w)
 
 
-def _representatives(
-    instance: Instance, depth: int, budget: int | None
-) -> list[list[tuple[tuple[int, ...], Any]]]:
-    """One (path, weight) per distinct weight per vertex, discovery order."""
-    by_vertex, _ = enumerate_source_paths(instance, depth, budget)
-    reps: list[list[tuple[tuple[int, ...], Any]]] = []
-    for found in by_vertex:
-        seen: dict[Any, tuple[int, ...]] = {}
-        for path, w in found:
-            if w not in seen:
-                seen[w] = path
-        reps.append([(p, w) for w, p in seen.items()])
-    return reps
+Paths = list[list[tuple[tuple[int, ...], Any]]]
+
+
+class PathSample:
+    """The source paths the checkers examine, enumerated once.
+
+    The sample enumerates at the deepest depth asked for so far and serves a
+    shallower depth by keeping the paths of at most that many arcs, and always
+    the source path: depth-first preorder restricted to shorter paths is
+    exactly the shallower enumeration's discovery order.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.depth = -1
+        self.by_vertex: Paths = []
+        self._reps: dict[int, Paths] = {}
+
+    def paths(self, depth: int) -> Paths:
+        """(path, weight) per path of at most `depth` arcs, per end vertex, in
+        discovery order."""
+        depth = max(depth, 0)
+        if depth > self.depth:
+            self.by_vertex, _ = enumerate_source_paths(self.instance, depth)
+            self.depth = depth
+        if depth == self.depth:
+            return self.by_vertex
+        return [[(p, w) for p, w in found if len(p) <= depth + 1] for found in self.by_vertex]
+
+    def representatives(self, depth: int) -> Paths:
+        """One (path, weight) per distinct weight per vertex, discovery order."""
+        depth = max(depth, 0)
+        if depth not in self._reps:
+            self._reps[depth] = []
+            for found in self.paths(depth):
+                seen: dict[Any, tuple[int, ...]] = {}
+                for path, w in found:
+                    seen.setdefault(w, path)
+                self._reps[depth].append([(p, w) for w, p in seen.items()])
+        return self._reps[depth]
 
 
 def check_history_free(
-    instance: Instance, depth: int = DEFAULT_DEPTH, budget: int | None = None
+    instance: Instance, depth: int = DEFAULT_DEPTH, paths: PathSample | None = None
 ) -> ConditionReport:
-    """Equal-weight paths to the same vertex must extend to equal weights."""
-    by_vertex, _ = enumerate_source_paths(instance, depth, budget)
+    """Equal-weight paths to the same vertex must extend to equal weights.
+
+    The check applies `space.update(w, arc)` once per path of each
+    equal-weight group, with the same arguments every time.  It therefore
+    holds by construction for every space that folds an update function,
+    which includes every built-in space; it can only catch an `update` whose
+    result is not a function of (weight, arc).
+    """
+    by_vertex = (paths or PathSample(instance)).paths(depth)
     space = instance.space
     for v in range(instance.vertex_count):
         groups: dict[Any, list[tuple[int, ...]]] = {}
@@ -138,7 +178,7 @@ def check_independence(
     instance: Instance,
     depth: int = DEFAULT_DEPTH,
     mode: str = "strict",
-    budget: int | None = None,
+    paths: PathSample | None = None,
 ) -> ConditionReport:
     """Strictly ordered weights must stay ordered after a common extension.
 
@@ -148,7 +188,7 @@ def check_independence(
     if mode not in ("strict", "weak"):
         raise ValidationError(f"unknown independence mode {mode!r}")
     name = INDEPENDENT if mode == "strict" else WEAKLY_INDEPENDENT
-    reps = _representatives(instance, depth, budget)
+    reps = (paths or PathSample(instance)).representatives(depth)
     space = instance.space
     for v in range(instance.vertex_count):
         found = reps[v]
@@ -205,7 +245,7 @@ def check_monotonicity(
     instance: Instance,
     depth: int = DEFAULT_DEPTH,
     kind: str = "cycle-non-decreasing",
-    budget: int | None = None,
+    paths: PathSample | None = None,
 ) -> ConditionReport:
     """Compare a path's weight with its extensions along arcs or cycles.
 
@@ -213,10 +253,11 @@ def check_monotonicity(
     arc, the cycle kinds a closed walk at the path's head, total length
     bounded by the depth.
     """
+    paths = paths or PathSample(instance)
+    space = instance.space
     if kind in _ARC_KINDS:
         accept = _ARC_KINDS[kind]
-        reps = _representatives(instance, depth - 1, budget)
-        space = instance.space
+        reps = paths.representatives(depth - 1)
         for v in range(instance.vertex_count):
             for path, w in reps[v]:
                 for arc in instance.out_arcs(v):
@@ -239,10 +280,9 @@ def check_monotonicity(
     if kind not in _CYCLE_KINDS:
         raise ValidationError(f"unknown monotonicity kind {kind!r}")
     accept = _CYCLE_KINDS[kind]
-    space = instance.space
-    cap = budget if budget is not None else enumeration_budget()
+    cap = enumeration_budget()
     nodes = 0
-    reps = _representatives(instance, depth - 1, budget)
+    reps = paths.representatives(depth - 1)
     for v in range(instance.vertex_count):
         for path, w in reps[v]:
             remaining = depth - (len(path) - 1)
@@ -282,7 +322,7 @@ def check_subpath_optimality(
     instance: Instance,
     depth: int = DEFAULT_DEPTH,
     mode: str = "strong",
-    budget: int | None = None,
+    paths: PathSample | None = None,
 ) -> ConditionReport:
     """Do efficient paths have efficient prefixes?
 
@@ -294,7 +334,7 @@ def check_subpath_optimality(
     if mode not in ("strong", "weak"):
         raise ValidationError(f"unknown subpath-optimality mode {mode!r}")
     name = SUBPATH_OPTIMAL if mode == "strong" else WEAKLY_SUBPATH_OPTIMAL
-    by_vertex, _ = enumerate_source_paths(instance, depth, budget)
+    by_vertex = (paths or PathSample(instance)).paths(depth)
     space = instance.space
     weight_of: dict[tuple[int, ...], Any] = {}
     for found in by_vertex:
@@ -321,6 +361,17 @@ def check_subpath_optimality(
                 return cand, w
         return None, None
 
+    def violation(path: tuple[int, ...], w: Any, prefix: tuple[int, ...]) -> dict:
+        dom_path, dom_w = dominator(prefix)
+        return {
+            "path": list(path),
+            "weight": _render(instance, w),
+            "prefix": list(prefix),
+            "prefix_weight": _render(instance, weight_of[prefix]),
+            "dominating_path": list(dom_path) if dom_path else None,
+            "dominating_weight": _render(instance, dom_w) if dom_path else None,
+        }
+
     if mode == "strong":
         for v in range(instance.vertex_count):
             for path, w in by_vertex[v]:
@@ -328,22 +379,7 @@ def check_subpath_optimality(
                     continue
                 prefix = first_dominated_prefix(path)
                 if prefix is not None:
-                    dom_path, dom_w = dominator(prefix)
-                    return ConditionReport(
-                        name=name,
-                        verdict=VIOLATED,
-                        depth=depth,
-                        witness={
-                            "path": list(path),
-                            "weight": _render(instance, w),
-                            "prefix": list(prefix),
-                            "prefix_weight": _render(instance, weight_of[prefix]),
-                            "dominating_path": list(dom_path) if dom_path else None,
-                            "dominating_weight": (
-                                _render(instance, dom_w) if dom_path else None
-                            ),
-                        },
-                    )
+                    return ConditionReport(name, VIOLATED, depth, violation(path, w, prefix))
         return ConditionReport(name, HOLDS, depth)
 
     for v in range(instance.vertex_count):
@@ -352,20 +388,10 @@ def check_subpath_optimality(
             if any(first_dominated_prefix(p) is None for p in witnesses):
                 continue
             path = witnesses[0]
-            prefix = first_dominated_prefix(path)
-            dom_path, dom_w = dominator(prefix)
+            witness = violation(path, w, first_dominated_prefix(path))
+            # A weak-mode witness is about the weight, so it lists it first.
             return ConditionReport(
-                name=name,
-                verdict=VIOLATED,
-                depth=depth,
-                witness={
-                    "weight": _render(instance, w),
-                    "path": list(path),
-                    "prefix": list(prefix),
-                    "prefix_weight": _render(instance, weight_of[prefix]),
-                    "dominating_path": list(dom_path) if dom_path else None,
-                    "dominating_weight": _render(instance, dom_w) if dom_path else None,
-                },
+                name, VIOLATED, depth, {"weight": witness["weight"], **witness}
             )
     return ConditionReport(name, HOLDS, depth)
 
@@ -375,7 +401,7 @@ def check_linear_extension(
     depth: int = DEFAULT_DEPTH,
     sample: Sequence[Any] | None = None,
     sample_limit: int = 32,
-    budget: int | None = None,
+    paths: PathSample | None = None,
 ) -> ConditionReport:
     """Audit the space's linear extension.
 
@@ -388,85 +414,44 @@ def check_linear_extension(
     space = instance.space
     if space.leo_key is None:
         raise NoLeoError(f"weight space {space.name!r} has no linear extension to check")
-    reps = _representatives(instance, depth - 1, budget)
+    reps = (paths or PathSample(instance)).representatives(depth - 1)
     if sample is None:
-        collected: list[Any] = []
-        seen: set[Any] = set()
-        for v in range(instance.vertex_count):
-            for _p, w in reps[v]:
-                if w not in seen:
-                    seen.add(w)
-                    collected.append(w)
-        sample = collected[:sample_limit]
-    else:
-        sample = list(sample)[:sample_limit]
+        sample = dict.fromkeys(w for found in reps for _p, w in found)
+    sample = list(sample)[:sample_limit]
 
-    def witness_pair(kind, a, b, extra=None):
-        data = {
-            "kind": kind,
-            "weights": [_render(instance, a), _render(instance, b)],
-        }
-        if extra:
-            data.update(extra)
-        return data
+    def violated(kind, a, b, **extra):
+        witness = {"kind": kind, "weights": [_render(instance, a), _render(instance, b)]}
+        return ConditionReport("linear-extension", VIOLATED, depth, {**witness, **extra})
 
     # a is picked over b (leo_pick gives FIRST) exactly when keys[a] <= keys[b].
     keys = [space.leo_key(w) for w in sample]
     for a, ka in zip(sample, keys):
         if not ka <= ka:
-            return ConditionReport(
-                "linear-extension", VIOLATED, depth, witness_pair("reflexivity", a, a)
-            )
+            return violated("reflexivity", a, a)
     for a, ka in zip(sample, keys):
         for b, kb in zip(sample, keys):
             ab_first = ka <= kb
             ba_first = kb <= ka
             if not ab_first and not ba_first:
-                return ConditionReport(
-                    "linear-extension", VIOLATED, depth, witness_pair("totality", a, b)
-                )
+                return violated("totality", a, b)
             if ab_first and ba_first and a != b:
-                return ConditionReport(
-                    "linear-extension", VIOLATED, depth, witness_pair("antisymmetry", a, b)
-                )
+                return violated("antisymmetry", a, b)
             if space.comparator(a, b) is LESS and not ab_first:
-                return ConditionReport(
-                    "linear-extension",
-                    VIOLATED,
-                    depth,
-                    witness_pair("dominance-agreement", a, b),
-                )
+                return violated("dominance-agreement", a, b)
     for a, ka in zip(sample, keys):
         for b, kb in zip(sample, keys):
             if not ka <= kb:
                 continue
             for c, kc in zip(sample, keys):
                 if kb <= kc and not ka <= kc:
-                    return ConditionReport(
-                        "linear-extension",
-                        VIOLATED,
-                        depth,
-                        witness_pair(
-                            "transitivity", a, c, {"via": _render(instance, b)}
-                        ),
-                    )
+                    return violated("transitivity", a, c, via=_render(instance, b))
 
     for v in range(instance.vertex_count):
         for path, w in reps[v]:
             for arc in instance.out_arcs(v):
                 w2 = space.update(w, arc)
                 if leo_pick(space, w, w2) == SECOND:
-                    return ConditionReport(
-                        "linear-extension",
-                        VIOLATED,
-                        depth,
-                        witness_pair(
-                            "arc-monotonicity",
-                            w,
-                            w2,
-                            {"path": list(path), "arc": list(arc.key)},
-                        ),
-                    )
+                    return violated("arc-monotonicity", w, w2, path=list(path), arc=list(arc.key))
     return ConditionReport("linear-extension", HOLDS, depth)
 
 

@@ -563,7 +563,7 @@ def wcspr_space(
 
     Args:
         arc_data: per arc, the fields "w" (cost), "r" (resource) and
-            optionally "replenish" (a flag, false when left out).
+            optionally "replenish" (true/false or 1/0, false when left out).
     """
     m = as_fraction(limit, "weight_space.params.limit")
     if m <= 0:
@@ -577,6 +577,8 @@ def wcspr_space(
             raise ValidationError(f"arc {key} needs nonnegative cost and resource", "weight_space.params")
         if r > m:
             raise ValidationError(f"arc {key} resource {r} exceeds the limit {m}", "weight_space.params")
+        if not isinstance(repl, int) or repl not in (0, 1):
+            raise ValidationError(f"arc {key} replenish must be true or false, got {repl!r}", "graph.arcs")
         data[key] = (w, r, bool(repl))
 
     def update(wv: tuple[Fraction, Fraction], arc: Arc) -> tuple[Fraction, Fraction]:

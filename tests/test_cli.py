@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posp
-from posp import cli
+from posp import cli, conditions
+from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
 
 
 def fixture_file(name: str) -> str:
@@ -157,6 +159,14 @@ MALFORMED = {
     "tourist-arc-into-a-vertex-without-a-value": with_params(
         "tourist_demo.json", values=[3, 5, 2], categories=[0, 0, 1]
     ),
+    "wcspr-replenish-string-false": with_arc_payload(
+        "wcspr_demo.json", {"w": 1, "r": 6, "replenish": "false"}
+    ),
+    "wcspr-replenish-string-true": with_arc_payload(
+        "wcspr_demo.json", {"w": 1, "r": 6, "replenish": "true"}
+    ),
+    "wcspr-replenish-2": with_arc_payload("wcspr_demo.json", {"w": 1, "r": 6, "replenish": 2}),
+    "wcspr-replenish-list": with_arc_payload("wcspr_demo.json", {"w": 1, "r": 6, "replenish": []}),
 }
 
 
@@ -395,6 +405,127 @@ def test_check_reports_improving_loop_violations_without_exit_five():
     assert by_name["cycle-non-decreasing"]["verdict"] == "violated"
     assert by_name["linear-extension"]["verdict"] == "violated"
     assert by_name["weakly-independent"]["verdict"] == "holds-to-depth"
+
+
+def test_check_and_oracle_reject_a_negative_depth(capsys):
+    path = fixture_file("improving_loop.json")
+    assert cli.main(["check", path, "--depth", "-2"]) == 2
+    assert cli.main(["oracle", path, "--max-len", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth must be non-negative" in captured.err
+    assert "--max-len must be non-negative" in captured.err
+    assert cli.main(["check", path, "--depth", "0"]) == 0
+    assert cli.main(["oracle", path, "--max-len", "0"]) == 0
+
+
+def test_consecutive_main_calls_share_no_options(capsys):
+    path = fixture_file("vector_demo.json")
+    assert cli.main(["solve", path, "--variant", "max", "--force"]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "max"
+    assert cli.main(["solve", path]) == 0
+    assert json.loads(capsys.readouterr().out)["variant"] == "min"
+    cli.main(["check", path, "--conditions", "independent"])
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 1
+    cli.main(["check", path])
+    names = [r["condition"] for r in json.loads(capsys.readouterr().out)["reports"]]
+    assert names == [*cli._DEFAULT_CONDITIONS, "linear-extension"]
+
+
+# Every condition as a standalone library call, which enumerates on its own.
+STANDALONE_CHECKS = {
+    "history-free": lambda inst, d: conditions.check_history_free(inst, d),
+    "independent": lambda inst, d: conditions.check_independence(inst, d, mode="strict"),
+    "weakly-independent": lambda inst, d: conditions.check_independence(inst, d, mode="weak"),
+    **{
+        kind: lambda inst, d, kind=kind: conditions.check_monotonicity(inst, d, kind=kind)
+        for kind in conditions.MONOTONICITY_KINDS
+    },
+    "subpath-optimal": lambda inst, d: conditions.check_subpath_optimality(inst, d, mode="strong"),
+    "weakly-subpath-optimal": lambda inst, d: conditions.check_subpath_optimality(
+        inst, d, mode="weak"
+    ),
+    "linear-extension": lambda inst, d: conditions.check_linear_extension(inst, d),
+}
+
+CHECK_INSTANCES = [
+    (name, lambda name=name: posp.parse_instance(fixture_doc(name))) for name in ALL_FIXTURES
+] + [
+    (f"{structure}-{seed}", lambda structure=structure, seed=seed: random_instance(structure, seed))
+    for structure in MIN_STRUCTURES + MAX_STRUCTURES
+    for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("name, make", CHECK_INSTANCES, ids=[n for n, _ in CHECK_INSTANCES])
+def test_check_reports_equal_standalone_checker_calls(name, make, monkeypatch, capsys):
+    # cmd_check shares one path sample among its checkers; every report must
+    # equal the one the checker gives when it enumerates on its own.  The
+    # default list asks for the full depth first; the list of every condition
+    # below asks for depth - 1 first and then deepens the sample.
+    instance = make()
+    monkeypatch.setattr(cli, "_load_document", lambda path: None)
+    monkeypatch.setattr(cli, "parse_instance", lambda doc: instance)
+    every = list(conditions.MONOTONICITY_KINDS)
+    if instance.space.leo_key is not None:
+        every.append("linear-extension")
+    every += ["history-free", "independent", "weakly-independent"]
+    every += ["subpath-optimal", "weakly-subpath-optimal"]
+    for depth in (0, 1, 2, 6):
+        for selection in ([], ["--conditions", ",".join(every)]):
+            assert cli.main(["check", name, "--depth", str(depth), *selection]) in (0, 5)
+            emitted = json.loads(capsys.readouterr().out)["reports"]
+            standalone = [
+                STANDALONE_CHECKS[r["condition"]](instance, depth).to_dict() for r in emitted
+            ]
+            assert emitted == json.loads(json.dumps(standalone, default=cli._json_default))
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKERS = (
+    "check_history_free",
+    "check_independence",
+    "check_monotonicity",
+    "check_subpath_optimality",
+    "check_linear_extension",
+)
+
+
+@pytest.mark.parametrize(
+    "selection, checkers",
+    [([], CHECKERS), (["--conditions", "arc-increasing"], ("check_monotonicity",))],
+)
+def test_traced_check_enumerates_once(selection, checkers, capsys):
+    # The benchmark's tracer wraps these names; each must still exist.
+    for name in ("build_parser", *CHECKERS):
+        assert callable(getattr(cli, name)), name
+    assert callable(conditions.enumerate_source_paths)
+    assert callable(conditions.leo_pick)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install(posp)
+    try:
+        frame = tracer.open("op")
+        assert cli.main(["check", fixture_file("subset_catchup.json"), *selection]) == 0
+        tracer.close(frame)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer.agg)
+    assert metrics["algorithms.enumerate.calls"] == 1
+    assert metrics["algorithms.enumerate.nodes"] > 0
+    for checker in CHECKERS:
+        assert (metrics[f"conditions.{checker}_s"] > 0) == (checker in checkers), checker
+    if "check_linear_extension" in checkers:
+        assert metrics["conditions.leo_picks"] > 0
 
 
 # ---------------------------------------------------------------------------

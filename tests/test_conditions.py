@@ -10,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 import posp
 from posp import (
     ALL_PROPERTIES,
+    EQUAL,
+    GREATER,
+    LESS,
     NoLeoError,
     PropertySet,
     TABLE_ROWS,
+    WeightSpace,
+    build_instance,
     check_history_free,
     check_independence,
     check_linear_extension,
@@ -37,6 +42,34 @@ def test_history_free_holds_on_fixture_tables():
     for name in ["nonsimple_witness.json", "improving_loop.json", "subset_catchup.json"]:
         report = check_history_free(load_instance(name), depth=6)
         assert report.holds, name
+
+
+def test_history_free_fails_when_an_update_is_not_a_function_of_weight_and_arc():
+    # Both paths 0-1-3 and 0-2-3 weigh 2.  The update along 3 -> 4 adds how
+    # often it was called before, so the two equal weights extend unequally.
+    calls = []
+
+    def update(w, arc):
+        if arc.key != (3, 4):
+            return w + 1
+        calls.append(w)
+        return w + len(calls)
+
+    space = WeightSpace(
+        name="drifting",
+        comparator=lambda a, b: LESS if a < b else GREATER if a > b else EQUAL,
+        update=update,
+        initial=0,
+        render=str,
+    )
+    inst = build_instance(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], 0, space)
+    report = check_history_free(inst, depth=3)
+    assert report.verdict == "violated"
+    assert report.witness["paths"] == [[0, 1, 3], [0, 2, 3]]
+    assert report.witness["arc"] == [3, 4]
+    assert report.witness["weight"] == "2"
+    first, second = report.witness["extended_weights"]
+    assert first != second
 
 
 def test_strict_independence_fails_by_catchup_but_weak_holds():

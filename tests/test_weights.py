@@ -338,7 +338,16 @@ def test_wcspr_saturation_beats_replenishment():
     assert w == (F(1), F(5))
 
 
+@pytest.mark.parametrize("flag, resource", [(True, 4), (1, 4), (False, 6), (0, 6)])
+def test_wcspr_replenish_is_a_boolean_or_zero_or_one(flag, resource):
+    s = wcspr_space(10, {(0, 1): {"w": 1, "r": 4, "replenish": flag}})
+    assert s.update((F(0), F(2)), Arc(0, 0, 1)) == (F(1), F(resource))
+
+
 def test_wcspr_validation():
+    for flag in ("false", "true", 2, F(1, 2), None, []):
+        with pytest.raises(ValidationError):
+            wcspr_space(10, {(0, 1): {"w": 1, "r": 4, "replenish": flag}})
     with pytest.raises(ValidationError):
         wcspr_space(0, {})
     with pytest.raises(ValidationError):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable
 
@@ -101,73 +101,100 @@ class SolveResult:
         return self.frontiers[v]
 
 
-def _counting_space(space: WeightSpace, stats: SolveStats) -> WeightSpace:
-    base = space.comparator
-
-    def counted(a, b):
-        stats.comparisons += 1
-        return base(a, b)
-
-    return replace(space, comparator=counted)
-
-
-def min_merge(space: WeightSpace, frontier: list[Label], candidates: list[Label]) -> list[Label]:
+def min_merge(
+    space: WeightSpace,
+    frontier: list[Label],
+    candidates: list[Label],
+    stats: SolveStats | None = None,
+) -> list[Label]:
     """Keep one label per nondominated weight.
 
     Incumbents win ties against candidates, and earlier candidates win ties
     against later ones; a candidate strictly below an incumbent evicts it.
+
+    One pass per candidate: the scan over the current result stops at the
+    first incumbent at or below the candidate (the candidate dies) and notes
+    every incumbent strictly above it.  Only a candidate that survives the
+    whole scan evicts the noted incumbents and is appended, so the result,
+    its order and the `dead` flags are those of a rejection pass followed by
+    an eviction pass.  That needs no transitivity, only a dual comparator
+    (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS), which every
+    `WeightSpace` provides; quasi-transitive spaces take the same pass.
+    Comparisons made are added to `stats` when one is given.
     """
     cmp = space.comparator
     result = list(frontier)
+    compared = 0
     for cand in candidates:
-        keep = True
+        w = cand.weight
+        beaten = []
         for r in result:
-            c = cmp(r.weight, cand.weight)
-            if c is LESS or c is EQUAL:
-                keep = False
+            compared += 1
+            c = cmp(r.weight, w)
+            if c is GREATER:
+                beaten.append(r)
+            elif c is LESS or c is EQUAL:
+                cand.dead = True
                 break
-        if not keep:
-            cand.dead = True
-            continue
-        survivors = []
-        for r in result:
-            if cmp(cand.weight, r.weight) is LESS:
-                r.dead = True
-            else:
-                survivors.append(r)
-        survivors.append(cand)
-        result = survivors
+        else:
+            if beaten:
+                result = _evict(result, beaten)
+            result.append(cand)
+    if stats is not None:
+        stats.comparisons += compared
     return result
 
 
-def max_merge(space: WeightSpace, frontier: list[Label], candidates: list[Label]) -> list[Label]:
+def max_merge(
+    space: WeightSpace,
+    frontier: list[Label],
+    candidates: list[Label],
+    stats: SolveStats | None = None,
+) -> list[Label]:
     """Keep every path whose weight is not strictly dominated.
 
     Equal weights on different paths coexist; re-deriving a path already in
     the frontier is a no-op (paths are identified by their predecessor
-    chain), which is what makes the fixed point detectable.
+    chain), which is what makes the fixed point detectable.  The dominance
+    scan is `min_merge`'s single pass with only strict domination rejecting.
     """
     cmp = space.comparator
     result = list(frontier)
     ids = {lab.path_id() for lab in result}
+    compared = 0
     for cand in candidates:
-        if cand.path_id() in ids:
+        pid = cand.path_id()
+        if pid in ids:
             cand.dead = True
             continue
-        if any(cmp(r.weight, cand.weight) is LESS for r in result):
-            cand.dead = True
-            continue
-        survivors = []
+        w = cand.weight
+        beaten = []
         for r in result:
-            if cmp(cand.weight, r.weight) is LESS:
-                r.dead = True
-                ids.discard(r.path_id())
-            else:
-                survivors.append(r)
-        survivors.append(cand)
-        ids.add(cand.path_id())
-        result = survivors
+            compared += 1
+            c = cmp(r.weight, w)
+            if c is GREATER:
+                beaten.append(r)
+            elif c is LESS:
+                cand.dead = True
+                break
+        else:
+            if beaten:
+                result = _evict(result, beaten)
+                for r in beaten:
+                    ids.discard(r.path_id())
+            result.append(cand)
+            ids.add(pid)
+    if stats is not None:
+        stats.comparisons += compared
     return result
+
+
+def _evict(result: list[Label], beaten: list[Label]) -> list[Label]:
+    """Mark `beaten` dead and return `result` without them, order kept."""
+    for r in beaten:
+        r.dead = True
+    gone = set(beaten)
+    return [r for r in result if r not in gone]
 
 
 def _default_guard(instance: Instance) -> int:
@@ -204,9 +231,9 @@ def bellman_solve(
     "iteration-guard-hit" whose frontiers are not final.
     """
     stats = SolveStats()
-    space = _counting_space(instance.space, stats)
+    space = instance.space
     merge = min_merge if mode is SolveMode.MIN else max_merge
-    semi_naive = instance.space.relation_kind != QUASI_TRANSITIVE
+    semi_naive = space.relation_kind != QUASI_TRANSITIVE
     guard = max_iterations
     if guard is None:
         guard = instance.max_iterations
@@ -260,9 +287,9 @@ def bellman_solve(
             stats.merge_operations += 1
             merged, inserted = frontiers[v], []
             if candidates:
-                merged = merge(space, frontiers[v], candidates)
-                old = {l.serial for l in frontiers[v]}
-                inserted = [l for l in merged if l.serial not in old]
+                merged = merge(space, frontiers[v], candidates, stats)
+                # Kept candidates sit at the end of `merged`, in candidate order.
+                inserted = [c for c in candidates if not c.dead]
                 if inserted:
                     changed = True
                     stats.insertions += len(inserted)
@@ -309,21 +336,25 @@ def mda_solve(
     (one path per weight); in max mode only strict domination prunes, so
     equal-weight paths accumulate.
     """
-    space_raw = instance.space
-    if space_raw.leo_key is None:
+    space = instance.space
+    if space.leo_key is None:
         raise NoLeoError(
-            f"weight space {space_raw.name!r} defines no linear extension; the label-setting solver needs one"
+            f"weight space {space.name!r} defines no linear extension; the label-setting solver needs one"
         )
     stats = SolveStats()
-    space = _counting_space(space_raw, stats)
+    cmp = space.comparator
     key_of = space.leo_key
     strict_only = mode is SolveMode.MAX
 
     def dominated(permanents: list[Label], w: Any) -> bool:
+        compared = 0
         for lab in permanents:
-            c = space.comparator(lab.weight, w)
+            compared += 1
+            c = cmp(lab.weight, w)
             if c is LESS or (not strict_only and c is EQUAL):
+                stats.comparisons += compared
                 return True
+        stats.comparisons += compared
         return False
 
     n = instance.vertex_count
@@ -379,24 +410,25 @@ def mda_solve(
                 "extraction order ran backwards under the linear extension",
                 witness={
                     "path": list(reconstruct_path(label)),
-                    "weight": space_raw.render_weight(label.weight),
+                    "weight": space.render_weight(label.weight),
                     "previous_key": repr(last_key),
                     "key": repr(key),
                 },
             )
         last_key = key
 
+        stats.comparisons += len(permanents[v])
         for perm in permanents[v]:
-            c = space.comparator(perm.weight, label.weight)
+            c = cmp(perm.weight, label.weight)
             if c is LESS or c is GREATER:
                 raise LeoMonotonicityError(
                     "a permanent label and a later extraction are strictly ordered; "
                     "the linear extension is not monotone along arcs on this instance",
                     witness={
                         "permanent_path": list(reconstruct_path(perm)),
-                        "permanent_weight": space_raw.render_weight(perm.weight),
+                        "permanent_weight": space.render_weight(perm.weight),
                         "extracted_path": list(reconstruct_path(label)),
-                        "extracted_weight": space_raw.render_weight(label.weight),
+                        "extracted_weight": space.render_weight(label.weight),
                         "relation": c.value,
                     },
                 )

@@ -58,9 +58,13 @@ from .core import (
 )
 from .generators import MIN_STRUCTURES, kn_instance, random_instance
 from . import weights
-from .weights import _as_int, _req, build_space
+from .weights import _as_int, _bounded_int, _req, build_space
 
 FORMAT_VERSION = 1
+
+# Largest `graph.vertex_count` a document may ask for; the instance and the
+# solvers keep per-vertex lists.
+MAX_VERTEX_COUNT = 100_000
 
 WEIGHT_SPACE_KINDS = tuple(weights.SPACE_READERS)
 
@@ -89,7 +93,7 @@ def parse_instance(doc: Any) -> Instance:
     if fv != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {fv!r}", "format_version")
     graph = _req(doc, "graph", "")
-    n = _as_int(_req(graph, "vertex_count", "graph"), "graph.vertex_count")
+    n = _bounded_int(_req(graph, "vertex_count", "graph"), "graph.vertex_count", MAX_VERTEX_COUNT)
     arcs_raw = _req(graph, "arcs", "graph")
     if not isinstance(arcs_raw, list):
         raise ValidationError("arcs must be a list", "graph.arcs")

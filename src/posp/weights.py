@@ -58,6 +58,9 @@ from .core import (
 ArcKey = tuple[int, int]
 ArcItem = tuple[ArcKey, Any]
 
+# Largest vector dimension or tourist category count a document may ask for.
+MAX_COMPONENTS = 1_000
+
 
 def as_fraction(value: Any, path: str = "") -> Fraction:
     """Coerce ints, rational strings, decimal strings, and floats to Fraction."""
@@ -103,6 +106,14 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _bounded_int(value: Any, path: str, limit: int) -> int:
+    """An integer of at most `limit`, for document values that size allocations."""
+    n = _as_int(value, path)
+    if n > limit:
+        raise ValidationError(f"{n} exceeds the limit of {limit}", path)
+    return n
+
+
 def _sequence(data: Any, least: int, most: int, path: str) -> tuple:
     """A list or tuple of `least` to `most` items."""
     if not isinstance(data, (list, tuple)) or not least <= len(data) <= most:
@@ -142,6 +153,11 @@ def _param(params: Mapping[str, Any], name: str) -> Any:
 
 def _int_param(params: Mapping[str, Any], name: str) -> int:
     return _as_int(_param(params, name), f"weight_space.params.{name}")
+
+
+def _size_param(params: Mapping[str, Any], name: str) -> int:
+    """A vector length or category count: every weight holds that many components."""
+    return _bounded_int(_param(params, name), f"weight_space.params.{name}", MAX_COMPONENTS)
 
 
 def _list(value: Any, path: str) -> list:
@@ -224,7 +240,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: 
 
 
 def _read_mosp(params, arcs, source):
-    return mosp_space(_int_param(params, "dimension"), _payloads(arcs))
+    return mosp_space(_size_param(params, "dimension"), _payloads(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +336,8 @@ def bottleneck_space(
 
 def _read_bottleneck(params, arcs, source):
     return bottleneck_space(
-        _int_param(params, "additive_dimension"),
-        _int_param(params, "bottleneck_dimension"),
+        _size_param(params, "additive_dimension"),
+        _size_param(params, "bottleneck_dimension"),
         _payloads(arcs),
         params.get("initial_bottleneck"),
     )
@@ -825,7 +841,7 @@ def _read_tourist(params, arcs, source):
         _param(params, "budget"),
         _list(_param(params, "values"), "weight_space.params.values"),
         [_as_int(c, "weight_space.params.categories") for c in categories],
-        _int_param(params, "category_count"),
+        _size_param(params, "category_count"),
         {
             key: _unwrap(payload, "length", f"arc {key} payload")
             for key, payload in _payloads(arcs).items()

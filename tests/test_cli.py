@@ -133,6 +133,12 @@ def with_params(name, **values):
     return doc
 
 
+def with_vertex_count(name, count):
+    doc = fixture_doc(name)
+    doc["graph"]["vertex_count"] = count
+    return doc
+
+
 def with_table_entries(value):
     doc = fixture_doc("dependent_extension.json")
     doc["weight_space"]["params"]["updates"][0]["entries"] = value
@@ -167,6 +173,13 @@ MALFORMED = {
     ),
     "wcspr-replenish-2": with_arc_payload("wcspr_demo.json", {"w": 1, "r": 6, "replenish": 2}),
     "wcspr-replenish-list": with_arc_payload("wcspr_demo.json", {"w": 1, "r": 6, "replenish": []}),
+    # Sizes beyond the documented limits, rejected before anything is allocated.
+    "tourist-category-count-1e9": with_params("tourist_demo.json", category_count=10**9),
+    "vertex-count-1e8": with_vertex_count("vector_demo.json", 10**8),
+    "mosp-dimension-1e9-without-arcs": minimal_doc(
+        graph={"vertex_count": 2, "arcs": []},
+        weight_space={"kind": "mosp", "params": {"dimension": 10**9}},
+    ),
 }
 
 
@@ -526,6 +539,24 @@ def test_traced_check_enumerates_once(selection, checkers, capsys):
         assert (metrics[f"conditions.{checker}_s"] > 0) == (checker in checkers), checker
     if "check_linear_extension" in checkers:
         assert metrics["conditions.leo_picks"] > 0
+
+
+def test_traced_comparisons_equal_the_solver_counts():
+    # The solvers count their own comparisons; the tracer counts every call
+    # of the comparator it wraps.  The two must agree.
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install(posp)
+    try:
+        frame = tracer.open("op")
+        bellman = posp.algorithms.bellman_solve(posp.generators.kn_instance(3, 5))
+        mda = cli.mda_solve(cli.parse_instance(fixture_doc("evsp_demo.json")))
+        tracer.close(frame)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.agg)
+    assert metrics["algorithms.bellman.comparisons"] == bellman.stats.comparisons == 2750
+    assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons == 20
 
 
 # ---------------------------------------------------------------------------

@@ -197,11 +197,19 @@ def _evict(result: list[Label], beaten: list[Label]) -> list[Label]:
     return [r for r in result if r not in gone]
 
 
-def _default_guard(instance: Instance) -> int:
-    guard = 4 * instance.vertex_count
-    if MU_BOUNDED in instance.declared and instance.mu is not None:
-        guard = max(guard, instance.mu + 2)
-    return guard
+def iteration_guard(instance: Instance, max_iterations: int | None = None) -> int:
+    """Bellman's round limit: `max_iterations`, else the instance's, else
+    max(4 * vertex count, mu + 2 when a length bound is declared); at least 1.
+
+    Round k of `bellman_solve` builds paths of k arcs, so this is also the
+    longest path `mda_solve` builds a label for.
+    """
+    guard = max_iterations if max_iterations is not None else instance.max_iterations
+    if guard is None:
+        guard = 4 * instance.vertex_count
+        if MU_BOUNDED in instance.declared and instance.mu is not None:
+            guard = max(guard, instance.mu + 2)
+    return max(guard, 1)
 
 
 def bellman_solve(
@@ -226,21 +234,15 @@ def bellman_solve(
     declare ``antisymmetric-quasi-transitive``, and then every round
     re-extends every frontier.
 
-    The iteration guard defaults to max(4 * vertex count, mu + 2 when a
-    length bound is declared); hitting it yields a result with status
-    "iteration-guard-hit" whose frontiers are not final.
+    The iteration guard defaults to `iteration_guard(instance)`; hitting it
+    yields a result with status "iteration-guard-hit" whose frontiers are
+    not final.
     """
     stats = SolveStats()
     space = instance.space
     merge = min_merge if mode is SolveMode.MIN else max_merge
     semi_naive = space.relation_kind != QUASI_TRANSITIVE
-    guard = max_iterations
-    if guard is None:
-        guard = instance.max_iterations
-    if guard is None:
-        guard = _default_guard(instance)
-    if guard < 1:
-        guard = 1
+    guard = iteration_guard(instance, max_iterations)
 
     serials = itertools.count()
     root = Label(
@@ -335,6 +337,12 @@ def mda_solve(
     In min mode a candidate is pruned by any permanent weight at or below it
     (one path per weight); in max mode only strict domination prunes, so
     equal-weight paths accumulate.
+
+    A candidate that survives pruning but is longer than
+    `iteration_guard(instance)` arcs is dropped, and the result then has
+    status "iteration-guard-hit": a cycle whose turns keep producing
+    equal-weight paths in max mode would otherwise keep the queue filled
+    forever.
     """
     space = instance.space
     if space.leo_key is None:
@@ -345,6 +353,8 @@ def mda_solve(
     cmp = space.comparator
     key_of = space.leo_key
     strict_only = mode is SolveMode.MAX
+    guard = iteration_guard(instance)
+    status = CONVERGED
 
     def dominated(permanents: list[Label], w: Any) -> bool:
         compared = 0
@@ -411,8 +421,8 @@ def mda_solve(
                 witness={
                     "path": list(reconstruct_path(label)),
                     "weight": space.render_weight(label.weight),
-                    "previous_key": repr(last_key),
-                    "key": repr(key),
+                    "previous_key": last_key,
+                    "key": key,
                 },
             )
         last_key = key
@@ -447,6 +457,9 @@ def mda_solve(
                 continue
             if dominated(permanents[u], w):
                 continue
+            if label.length >= guard:
+                status = GUARD_HIT
+                continue
             cand = Label(
                 vertex=u,
                 pred=label,
@@ -470,7 +483,7 @@ def mda_solve(
     return SolveResult(
         frontiers=[Frontier(v, permanents[v]) for v in range(n)],
         stats=stats,
-        status=CONVERGED,
+        status=status,
         mode=mode,
         algorithm="mda",
     )

@@ -29,6 +29,7 @@ from .algorithms import (
     SolveResult,
     bellman_solve,
     brute_force_frontier,
+    iteration_guard,
     mda_solve,
 )
 from .conditions import (
@@ -238,10 +239,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     _emit(doc)
     if result.status == GUARD_HIT:
-        _err(
-            f"iteration guard hit after {result.stats.iterations} rounds; "
-            "frontiers are not final"
-        )
+        if algorithm == "bellman":
+            reached = f"after {result.stats.iterations} rounds"
+        else:
+            reached = f"at paths of {iteration_guard(instance)} arcs"
+        _err(f"iteration guard hit {reached}; frontiers are not final")
         return 4
     return 0
 

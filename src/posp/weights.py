@@ -1,8 +1,12 @@
 """Concrete weight structures.
 
-Every constructor returns a `core.WeightSpace`.  Arithmetic is exact: all
-numeric inputs are coerced to `fractions.Fraction` (strings like ``"3/4"`` and
-``"0.5"`` are accepted; floats are read through their shortest decimal
+Every constructor returns a `core.WeightSpace`.  Arithmetic is exact and
+never touches floats.  Structures whose updates only add, take minima and
+compare (`mosp`, bottleneck, interval, `wcspr`, tourist) keep `int` inputs as
+`int` (`as_rational`); every other number, and every number of the
+structures that divide (FIFO tables, charging curves), becomes a
+`fractions.Fraction` (`as_fraction`: strings like ``"3/4"`` and ``"0.5"`` are
+accepted; finite floats are read through their shortest decimal
 representation).  Arc data is supplied as mappings keyed by (tail, head).
 A record with named fields (a bottleneck arc's additive and capacity
 vectors, an interval's center and radius, ...) may be given as a dict keyed
@@ -36,6 +40,7 @@ Included structures:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -57,6 +62,8 @@ from .core import (
 
 ArcKey = tuple[int, int]
 ArcItem = tuple[ArcKey, Any]
+# An exact number: an int, or a Fraction where the input was not an int.
+Rational = int | Fraction
 
 # Largest vector dimension or tourist category count a document may ask for.
 MAX_COMPONENTS = 1_000
@@ -71,6 +78,8 @@ def as_fraction(value: Any, path: str = "") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"expected a finite number, got {value!r}", path)
         # Shortest-repr decimal reading keeps 0.1 meaning 1/10.
         return Fraction(str(value))
     if isinstance(value, str):
@@ -81,7 +90,19 @@ def as_fraction(value: Any, path: str = "") -> Fraction:
     raise ValidationError(f"expected a number, got {type(value).__name__}", path)
 
 
-def render_rational(q: Fraction) -> int | str:
+def as_rational(value: Any, path: str = "") -> Rational:
+    """An int stays an int; anything else is read by `as_fraction`.
+
+    For structures whose updates never divide: int arithmetic is exact and
+    much faster than Fraction's, and an int equals and hashes like the
+    Fraction of the same value.
+    """
+    if type(value) is int:
+        return value
+    return as_fraction(value, path)
+
+
+def render_rational(q: Rational) -> int | str:
     """Canonical JSON form: plain int when integral, "p/q" string otherwise."""
     if q.denominator == 1:
         return int(q)
@@ -166,11 +187,11 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
-def _fraction_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(v, path) for v in _sequence(values, dim, dim, path))
+def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Rational, ...]:
+    return tuple(as_rational(v, path) for v in _sequence(values, dim, dim, path))
 
 
-def _vector_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> ComparisonResult:
+def _vector_compare(a: Sequence[Rational], b: Sequence[Rational]) -> ComparisonResult:
     if len(a) != len(b):
         raise DomainMismatchError(f"vector dimensions differ: {len(a)} vs {len(b)}")
     le = ge = True
@@ -188,7 +209,7 @@ def _vector_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> ComparisonR
     return INCOMPARABLE
 
 
-def _scalar_compare(x: Fraction, y: Fraction) -> ComparisonResult:
+def _scalar_compare(x: Rational, y: Rational) -> ComparisonResult:
     if x == y:
         return EQUAL
     return LESS if x < y else GREATER
@@ -222,10 +243,10 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: 
     if dimension < 1:
         raise ValidationError("dimension must be at least 1", "weight_space.params.dimension")
     costs = {
-        key: _fraction_vector(vec, dimension, f"arc {key}") for key, vec in arc_costs.items()
+        key: _rational_vector(vec, dimension, f"arc {key}") for key, vec in arc_costs.items()
     }
 
-    def update(w: tuple[Fraction, ...], arc: Arc) -> tuple[Fraction, ...]:
+    def update(w: tuple[Rational, ...], arc: Arc) -> tuple[Rational, ...]:
         c = _arc_data(costs, arc, name)
         return tuple(x + y for x, y in zip(w, c))
 
@@ -233,7 +254,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: 
         name=name,
         comparator=_vector_compare,
         update=update,
-        initial=(Fraction(0),) * dimension,
+        initial=(0,) * dimension,
         leo_key=lambda w: tuple(w),
         render=lambda w: [render_rational(x) for x in w],
     )
@@ -255,9 +276,9 @@ def semilattice_min_space(
 ) -> WeightSpace:
     """Componentwise minimum along arcs; larger values are better."""
     values = {
-        key: _fraction_vector(vec, dimension, f"arc {key}") for key, vec in arc_values.items()
+        key: _rational_vector(vec, dimension, f"arc {key}") for key, vec in arc_values.items()
     }
-    start = _fraction_vector(initial, dimension, "initial")
+    start = _rational_vector(initial, dimension, "initial")
 
     def comparator(a, b):
         # Better means componentwise larger, so flip the vector order.
@@ -294,21 +315,21 @@ def bottleneck_space(
     Args:
         arc_costs: per arc, the fields "additive" and "bottleneck" (vectors).
     """
-    adds: dict[ArcKey, tuple[Fraction, ...]] = {}
-    caps: dict[ArcKey, tuple[Fraction, ...]] = {}
+    adds: dict[ArcKey, tuple[Rational, ...]] = {}
+    caps: dict[ArcKey, tuple[Rational, ...]] = {}
     for key, data in arc_costs.items():
         add_part, cap_part = _fields(data, ("additive", "bottleneck"), f"arc {key}")
-        adds[key] = _fraction_vector(add_part, additive_dimension, f"arc {key} additive")
-        caps[key] = _fraction_vector(cap_part, bottleneck_dimension, f"arc {key} bottleneck")
+        adds[key] = _rational_vector(add_part, additive_dimension, f"arc {key} additive")
+        caps[key] = _rational_vector(cap_part, bottleneck_dimension, f"arc {key} bottleneck")
 
     if initial_bottleneck is not None:
-        top = _fraction_vector(initial_bottleneck, bottleneck_dimension, "initial_bottleneck")
+        top = _rational_vector(initial_bottleneck, bottleneck_dimension, "initial_bottleneck")
     elif caps:
         top = tuple(
             max(vec[i] for vec in caps.values()) for i in range(bottleneck_dimension)
         )
     else:
-        top = (Fraction(0),) * bottleneck_dimension
+        top = (0,) * bottleneck_dimension
 
     def comparator(a, b):
         return _product_order(_vector_compare(a[0], b[0]), _vector_compare(a[1], b[1]).flipped())
@@ -325,7 +346,7 @@ def bottleneck_space(
         name=name,
         comparator=comparator,
         update=update,
-        initial=((Fraction(0),) * additive_dimension, top),
+        initial=((0,) * additive_dimension, top),
         leo_key=lambda w: tuple(w[0]) + tuple(-x for x in w[1]),
         render=lambda w: {
             "additive": [render_rational(x) for x in w[0]],
@@ -417,17 +438,17 @@ def interval_space(
     incomparable so that the comparator stays antisymmetric.  The linear
     extension orders by (c + alpha*w, c + beta*w, c, w) lexicographically.
     """
-    a = as_fraction(alpha, "weight_space.params.alpha")
-    b = as_fraction(beta, "weight_space.params.beta")
-    if not (Fraction(-1) <= a <= b <= Fraction(1)):
+    a = as_rational(alpha, "weight_space.params.alpha")
+    b = as_rational(beta, "weight_space.params.beta")
+    if not (-1 <= a <= b <= 1):
         raise ValidationError(
             f"need -1 <= alpha <= beta <= 1, got alpha={a}, beta={b}", "weight_space.params"
         )
-    intervals: dict[ArcKey, tuple[Fraction, Fraction]] = {}
+    intervals: dict[ArcKey, tuple[Rational, Rational]] = {}
     for key, data in arc_intervals.items():
         c_val, w_val = _fields(data, ("c", "w"), f"arc {key}")
-        c = as_fraction(c_val, f"arc {key} c")
-        w = as_fraction(w_val, f"arc {key} w")
+        c = as_rational(c_val, f"arc {key} c")
+        w = as_rational(w_val, f"arc {key} w")
         if w < 0:
             raise ValidationError(f"arc {key} has negative radius", "weight_space.params")
         if c < w:
@@ -436,7 +457,7 @@ def interval_space(
             )
         intervals[key] = (c, w)
 
-    def phi(gamma: Fraction, v: tuple[Fraction, Fraction]) -> Fraction:
+    def phi(gamma: Rational, v: tuple[Rational, Rational]) -> Rational:
         return v[0] + gamma * v[1]
 
     def comparator(u, v):
@@ -460,7 +481,7 @@ def interval_space(
         name=name,
         comparator=comparator,
         update=update,
-        initial=(Fraction(0), Fraction(0)),
+        initial=(0, 0),
         leo_key=lambda wv: (phi(a, wv), phi(b, wv), wv[0], wv[1]),
         render=lambda wv: {"c": render_rational(wv[0]), "w": render_rational(wv[1])},
     )
@@ -581,14 +602,14 @@ def wcspr_space(
         arc_data: per arc, the fields "w" (cost), "r" (resource) and
             optionally "replenish" (true/false or 1/0, false when left out).
     """
-    m = as_fraction(limit, "weight_space.params.limit")
+    m = as_rational(limit, "weight_space.params.limit")
     if m <= 0:
         raise ValidationError("resource limit must be positive", "weight_space.params.limit")
-    data: dict[ArcKey, tuple[Fraction, Fraction, bool]] = {}
+    data: dict[ArcKey, tuple[Rational, Rational, bool]] = {}
     for key, entry in arc_data.items():
         w_val, r_val, repl = _fields(entry, ("w", "r", "replenish"), f"arc {key}", (False,))
-        w = as_fraction(w_val, f"arc {key} w")
-        r = as_fraction(r_val, f"arc {key} r")
+        w = as_rational(w_val, f"arc {key} w")
+        r = as_rational(r_val, f"arc {key} r")
         if w < 0 or r < 0:
             raise ValidationError(f"arc {key} needs nonnegative cost and resource", "weight_space.params")
         if r > m:
@@ -597,7 +618,7 @@ def wcspr_space(
             raise ValidationError(f"arc {key} replenish must be true or false, got {repl!r}", "graph.arcs")
         data[key] = (w, r, bool(repl))
 
-    def update(wv: tuple[Fraction, Fraction], arc: Arc) -> tuple[Fraction, Fraction]:
+    def update(wv: tuple[Rational, Rational], arc: Arc) -> tuple[Rational, Rational]:
         w, r, repl = _arc_data(data, arc, name)
         cost, res = wv
         if res + r >= m:
@@ -611,7 +632,7 @@ def wcspr_space(
         name=name,
         comparator=_vector_compare,
         update=update,
-        initial=(Fraction(0), Fraction(0)),
+        initial=(0, 0),
         leo_key=lambda wv: tuple(wv),
         infeasible=lambda wv: wv[1] >= m,
         render=lambda wv: {"cost": render_rational(wv[0]), "resource": render_rational(wv[1])},
@@ -774,7 +795,7 @@ def tourist_space(
     single sentinel (budget + 1, zero vector), so any frontier carries at most
     one over-budget label and every feasible weight dominates it.
     """
-    b = as_fraction(budget, "weight_space.params.budget")
+    b = as_rational(budget, "weight_space.params.budget")
     if b < 0:
         raise ValidationError("budget must be nonnegative", "weight_space.params.budget")
     if category_count < 1:
@@ -782,14 +803,14 @@ def tourist_space(
     n = len(vertex_values)
     if len(vertex_categories) != n:
         raise ValidationError("values and categories must have one entry per vertex", "weight_space.params")
-    values = [as_fraction(v, f"values[{i}]") for i, v in enumerate(vertex_values)]
+    values = [as_rational(v, f"values[{i}]") for i, v in enumerate(vertex_values)]
     cats = list(vertex_categories)
     for i, c in enumerate(cats):
         if not (0 <= c < category_count):
             raise ValidationError(f"category {c} out of range", f"categories[{i}]")
         if values[i] < 0:
             raise ValidationError("vertex values must be nonnegative", f"values[{i}]")
-    lengths = {key: as_fraction(l, f"arc {key}") for key, l in arc_lengths.items()}
+    lengths = {key: as_rational(l, f"arc {key}") for key, l in arc_lengths.items()}
     for key, l in lengths.items():
         if l < 0:
             raise ValidationError(f"arc {key} has negative length", "weight_space.params")
@@ -798,12 +819,12 @@ def tourist_space(
     if not (0 <= source < n):
         raise ValidationError("source out of range", "weight_space.params")
 
-    zero_values = (Fraction(0),) * category_count
+    zero_values = (0,) * category_count
     sentinel = (b + 1, zero_values)
 
     init_values = list(zero_values)
     init_values[cats[source]] = values[source]
-    initial = (Fraction(0), tuple(init_values))
+    initial = (0, tuple(init_values))
 
     def comparator(u, v):
         return _product_order(_scalar_compare(u[0], v[0]), _vector_compare(u[1], v[1]).flipped())

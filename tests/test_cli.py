@@ -5,9 +5,11 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import posp
 from posp import cli, conditions
+from posp.algorithms import SolveMode, bellman_solve, enumerate_source_paths, mda_solve
+from posp.core import LeoMonotonicityError, reconstruct_path
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
 
 
@@ -22,7 +26,9 @@ def fixture_file(name: str) -> str:
     return str(posp.fixture_path(name))
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, env_extra: dict | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     env = os.environ.copy()
     env.update(env_extra or {})
     return subprocess.run(
@@ -30,6 +36,7 @@ def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedPr
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -180,6 +187,9 @@ MALFORMED = {
         graph={"vertex_count": 2, "arcs": []},
         weight_space={"kind": "mosp", "params": {"dimension": 10**9}},
     ),
+    # Python's json reads NaN and Infinity; exact arithmetic has no place for them.
+    "mosp-nan-cost": with_arc_payload("vector_demo.json", [float("nan"), 3]),
+    "wcspr-infinite-limit": with_params("wcspr_demo.json", limit=float("inf")),
 }
 
 
@@ -312,6 +322,58 @@ def test_solve_monotonicity_assertion_failure_exits_five(tmp_path):
     r = run_cli("solve", path, "--algorithm", "mda", "--force")
     assert r.returncode == 5
     assert "monotonicity" in r.stderr
+
+
+def test_monotonicity_witness_keys_render_like_weights(tmp_path, capsys):
+    # A negative cost makes the extraction order run backwards; the witness
+    # keys must not depend on how the document spells its numbers.
+    def doc(cost):
+        return minimal_doc(
+            graph={
+                "vertex_count": 3,
+                "arcs": [
+                    {"tail": 0, "head": 1, "payload": [cost(5), cost(5)]},
+                    {"tail": 0, "head": 2, "payload": [cost(1), cost(1)]},
+                    {"tail": 2, "head": 1, "payload": [cost(-10), cost(-10)]},
+                ],
+            },
+            weight_space={"kind": "mosp", "params": {"dimension": 2}},
+        )
+
+    errs = []
+    for cost in (int, str):
+        path = write_doc(tmp_path, doc(cost), f"negative-{cost.__name__}.json")
+        assert cli.main(["solve", path, "--algorithm", "mda", "--force"]) == 5
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    witness = json.loads(errs[0].splitlines()[1])
+    assert witness["previous_key"] == [1, 1]
+    assert witness["key"] == [-9, -9]
+
+
+def test_mda_guard_stops_a_zero_gain_cycle(tmp_path):
+    # In max mode every turn around the empty-set cycle 1 -> 2 -> 1 is another
+    # path of equal weight; the label-setting solver stops at Bellman's guard.
+    doc = minimal_doc(
+        graph={
+            "vertex_count": 3,
+            "arcs": [
+                {"tail": 0, "head": 1, "payload": [1]},
+                {"tail": 1, "head": 2, "payload": []},
+                {"tail": 2, "head": 1, "payload": []},
+            ],
+        },
+        weight_space={"kind": "subset", "params": {"ground_set_size": 1}},
+    )
+    path = write_doc(tmp_path, doc)
+    r = run_cli("solve", path, "--variant", "max", "--algorithm", "mda", "--force", timeout=60)
+    assert r.returncode == 4
+    assert r.stderr == "iteration guard hit at paths of 12 arcs; frontiers are not final\n"
+    out = json.loads(r.stdout)
+    assert (out["status"], out["final"]) == ("iteration-guard-hit", False)
+    lengths = [e["length"] for fr in out["frontiers"] for e in fr["entries"]]
+    assert max(lengths) == 12
+    assert sorted(lengths) == list(range(13))  # one path per length: 0, then 1 and 2 alternating
 
 
 def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
@@ -494,13 +556,17 @@ def test_check_reports_equal_standalone_checker_calls(name, make, monkeypatch, c
             assert emitted == json.loads(json.dumps(standalone, default=cli._json_default))
 
 
-def load_tracer():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 CHECKERS = (
@@ -557,6 +623,139 @@ def test_traced_comparisons_equal_the_solver_counts():
     metrics = tracing.layer_metrics(tracer.agg)
     assert metrics["algorithms.bellman.comparisons"] == bellman.stats.comparisons == 2750
     assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons == 20
+
+
+# ---------------------------------------------------------------------------
+# Integers stay integers: the kinds whose updates never divide keep int data
+# as int, which must change no result.
+
+RULE_FIXTURES = {
+    "mosp": "vector_demo.json",
+    "bottleneck": "bottleneck_demo.json",
+    "interval": "interval_demo.json",
+    "wcspr": "wcspr_demo.json",
+    "tourist": "tourist_demo.json",
+    "product": "product_demo.json",
+}
+# Params that hold weight data, not sizes, categories or set elements.
+NUMBER_PARAMS = {"initial_bottleneck", "alpha", "beta", "limit", "budget", "values"}
+
+
+def seeded_docs(kind, seeds=range(5)):
+    gen = load_perfbench("gen")
+    return [
+        gen.structure_doc(kind, variant, random.Random(f"ints:{kind}:{variant}:{seed}"), f"{kind}-{seed}")
+        for variant in gen.VARIANTS
+        for seed in seeds
+    ]
+
+
+def spelled_as_strings(value):
+    """`value` with every int written as a string; replenish flags are kept."""
+    if isinstance(value, dict):
+        return {k: v if k == "replenish" else spelled_as_strings(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [spelled_as_strings(v) for v in value]
+    return str(value) if type(value) is int else value
+
+
+def with_string_numbers(doc):
+    """A copy of `doc` whose weight data is written as strings such as "5"."""
+    doc = json.loads(json.dumps(doc))
+    ws = doc["weight_space"]
+    parts = [(ws, None)]
+    if ws["kind"] == "product":
+        parts = [(ws["params"]["first"], "first"), (ws["params"]["second"], "second")]
+    for part, field in parts:
+        if part["kind"] not in RULE_FIXTURES:
+            continue
+        params = part.get("params", {})
+        for name in NUMBER_PARAMS & params.keys():
+            params[name] = spelled_as_strings(params[name])
+        for arc in doc["graph"]["arcs"]:
+            holder, key = (arc, "payload") if field is None else (arc["payload"], field)
+            holder[key] = spelled_as_strings(holder[key])
+    return doc
+
+
+def numbers(weight):
+    """The numeric components of a weight; set elements are no numbers."""
+    if isinstance(weight, tuple):
+        for x in weight:
+            yield from numbers(x)
+    elif not isinstance(weight, (frozenset, str)):
+        yield weight
+
+
+def solve_outcome(solve, instance, mode):
+    try:
+        result = solve(instance, mode)
+    except LeoMonotonicityError as exc:
+        return ("leo-error", str(exc), exc.witness), []
+    frontiers = [
+        [(lab.weight, reconstruct_path(lab), lab.length) for lab in fr] for fr in result.frontiers
+    ]
+    outcome = (result.status, result.stats, result.iteration_sizes, frontiers)
+    return outcome, [lab.weight for fr in result.frontiers for lab in fr]
+
+
+@pytest.mark.parametrize("kind", list(RULE_FIXTURES))
+def test_int_and_fraction_data_solve_alike(kind):
+    docs = [fixture_doc(RULE_FIXTURES[kind]), *seeded_docs(kind)]
+    for doc in docs:
+        as_is = cli.parse_instance(doc)
+        spelled = cli.parse_instance(with_string_numbers(doc))
+        solvers = [bellman_solve] + ([mda_solve] if as_is.space.leo_key is not None else [])
+        for solve in solvers:
+            for mode in SolveMode:
+                got, int_weights = solve_outcome(solve, as_is, mode)
+                want, fraction_weights = solve_outcome(solve, spelled, mode)
+                assert got == want, (doc["name"], solve.__name__, mode)
+                assert all(type(x) is int for w in int_weights for x in numbers(w)), doc["name"]
+                # The spelled copy really reads Fractions (its zero start stays int).
+                assert any(type(x) is Fraction for w in fraction_weights for x in numbers(w))
+
+
+FLOAT_PROBES = [
+    # Departures land between integer breakpoints: 1 + 1/3 must stay exact.
+    minimal_doc(
+        graph={
+            "vertex_count": 3,
+            "arcs": [
+                {"tail": 0, "head": 1, "payload": {"breakpoints": [[0, 1]]}},
+                {"tail": 1, "head": 2, "payload": {"breakpoints": [[0, 1], [3, 2]]}},
+                {"tail": 2, "head": 1, "payload": {"breakpoints": [[0, 1], [7, 3]]}},
+            ],
+        },
+        weight_space={"kind": "fifo_time", "params": {"start_time": 0}},
+    ),
+    # A charging curve and road data written as integers.
+    minimal_doc(
+        graph={
+            "vertex_count": 3,
+            "arcs": [
+                {"tail": 0, "head": 1, "payload": {"time": 1, "delta": 0}},
+                {"tail": 1, "head": 1},
+                {"tail": 1, "head": 2, "payload": {"time": 3, "delta": 1}},
+            ],
+        },
+        weight_space={
+            "kind": "evsp",
+            "params": {"initial_soc": 1, "epsilon": 1, "stations": {"1": [[0, 0], [3, 1]]}},
+        },
+    ),
+]
+
+
+def test_no_weight_is_ever_a_float():
+    gen = load_perfbench("gen")
+    docs = [fixture_doc(name) for name in ALL_FIXTURES] + FLOAT_PROBES
+    docs += [doc for kind in gen.KINDS for doc in seeded_docs(kind)]
+    for doc in docs:
+        by_vertex, _nodes = enumerate_source_paths(cli.parse_instance(doc), 4)
+        for found in by_vertex:
+            for _path, w in found:
+                assert not any(isinstance(x, float) for x in numbers(w)), (doc["name"], w)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from posp.weights import (
     ChargeCurve,
     TravelTimeTable,
     as_fraction,
+    as_rational,
     bottleneck_space,
     evsp_space,
     fifo_time_space,
@@ -61,7 +62,25 @@ def test_as_fraction_rejects_bool_and_junk():
         as_fraction("three")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_floats_are_rejected(value):
+    with pytest.raises(ValidationError, match="finite"):
+        as_fraction(value)
+    with pytest.raises(ValidationError, match="finite"):
+        as_rational(value)
+
+
+def test_as_rational_keeps_ints_and_reads_everything_else_exactly():
+    assert type(as_rational(3)) is int
+    for value, exact in ((F(3), F(3)), ("3", F(3)), ("3/4", F(3, 4)), (0.1, F(1, 10))):
+        got = as_rational(value)
+        assert type(got) is Fraction and got == exact
+    with pytest.raises(ValidationError):
+        as_rational(True)
+
+
 def test_render_rational():
+    assert render_rational(7) == 7
     assert render_rational(F(4, 2)) == 2
     assert render_rational(F(1, 3)) == "1/3"
     assert render_rational(F(-5, 10)) == "-1/2"

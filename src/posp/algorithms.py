@@ -6,10 +6,9 @@ Two solvers share the label/frontier model from `core`:
   extends only the labels the previous round inserted, along the out-arcs
   of their vertex, and merges; it stops when nothing changes.  Spaces that
   declare a quasi-transitive relation re-extend every label every round.
-- `mda_solve` — label-setting: a priority queue keyed by the weight space's
-  linear extension holds at most one candidate per vertex; extracted labels
-  are permanent.  Candidates that lose the per-vertex slot wait in a parked
-  pool and are reconsidered when the slot frees up.
+- `mda_solve` — label-setting: one priority queue keyed by the weight
+  space's linear extension holds every candidate label; a popped label that
+  no permanent label of its vertex dominates becomes permanent.
 
 `brute_force_frontier` is the oracle both are tested against: plain DFS path
 enumeration up to a length cap followed by a pairwise dominance filter.  Its
@@ -197,14 +196,14 @@ def _evict(result: list[Label], beaten: list[Label]) -> list[Label]:
     return [r for r in result if r not in gone]
 
 
-def iteration_guard(instance: Instance, max_iterations: int | None = None) -> int:
-    """Bellman's round limit: `max_iterations`, else the instance's, else
+def iteration_guard(instance: Instance) -> int:
+    """Bellman's round limit: the instance's `max_iterations`, else
     max(4 * vertex count, mu + 2 when a length bound is declared); at least 1.
 
     Round k of `bellman_solve` builds paths of k arcs, so this is also the
     longest path `mda_solve` builds a label for.
     """
-    guard = max_iterations if max_iterations is not None else instance.max_iterations
+    guard = instance.max_iterations
     if guard is None:
         guard = 4 * instance.vertex_count
         if MU_BOUNDED in instance.declared and instance.mu is not None:
@@ -215,7 +214,6 @@ def iteration_guard(instance: Instance, max_iterations: int | None = None) -> in
 def bellman_solve(
     instance: Instance,
     mode: SolveMode = SolveMode.MIN,
-    max_iterations: int | None = None,
     drop_infeasible: bool = False,
 ) -> SolveResult:
     """Label-correcting solve to a fixed point.
@@ -234,7 +232,7 @@ def bellman_solve(
     declare ``antisymmetric-quasi-transitive``, and then every round
     re-extends every frontier.
 
-    The iteration guard defaults to `iteration_guard(instance)`; hitting it
+    The iteration guard is `iteration_guard(instance)`; hitting it
     yields a result with status "iteration-guard-hit" whose frontiers are
     not final.
     """
@@ -242,7 +240,7 @@ def bellman_solve(
     space = instance.space
     merge = min_merge if mode is SolveMode.MIN else max_merge
     semi_naive = space.relation_kind != QUASI_TRANSITIVE
-    guard = iteration_guard(instance, max_iterations)
+    guard = iteration_guard(instance)
 
     serials = itertools.count()
     root = Label(
@@ -324,19 +322,21 @@ def mda_solve(
 ) -> SolveResult:
     """Label-setting solve ordered by the space's linear extension.
 
-    The queue holds at most one candidate label per vertex; everything else
-    discovered for that vertex waits in a per-vertex parked pool, keyed the
-    same way.  The queue entry for a vertex is always no later in the linear
-    extension than anything parked for it, so extracting the queue minimum
-    and making it permanent is safe whenever the linear extension is monotone
-    along arcs.  Violations of that premise surface as
+    One heap holds every candidate label, each pushed once when it is
+    created, ordered by (linear-extension key, vertex, serial).  A popped
+    label that a permanent label of its vertex dominates is dropped; any
+    other becomes permanent and is extended along the out-arcs of its
+    vertex.  Popping the minimum is safe whenever the linear extension is
+    monotone along arcs.  Violations of that premise surface as
     `LeoMonotonicityError` with a concrete witness: either the global
     extraction order runs backwards, or an extracted label and a permanent
     one are strictly ordered.
 
-    In min mode a candidate is pruned by any permanent weight at or below it
+    In min mode a label is pruned by any permanent weight at or below it
     (one path per weight); in max mode only strict domination prunes, so
-    equal-weight paths accumulate.
+    equal-weight paths accumulate.  The filter runs when a candidate is
+    created and again when it is popped, since its vertex may have gained
+    permanent labels in between.
 
     A candidate that survives pruning but is longer than
     `iteration_guard(instance)` arcs is dropped, and the result then has
@@ -369,51 +369,30 @@ def mda_solve(
 
     n = instance.vertex_count
     permanents: list[list[Label]] = [[] for _ in range(n)]
-    permanent_ids: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    parked: list[list[tuple]] = [[] for _ in range(n)]
     heap: list[list] = []
-    entry_for: dict[int, list] = {}
     serials = itertools.count()
-    pushes = itertools.count()  # unique heap tie-break; a label can be pushed twice
 
-    def set_entry(v: int, label: Label) -> None:
-        entry = [key_of(label.weight), v, next(pushes), label]
-        entry_for[v] = entry
-        heapq.heappush(heap, entry)
+    def push(label: Label) -> None:
+        heapq.heappush(heap, [key_of(label.weight), label.vertex, label.serial, label])
         stats.insertions += 1
 
-    def park(label: Label) -> None:
-        heapq.heappush(parked[label.vertex], (key_of(label.weight), label.serial, label))
-
-    def promote(v: int) -> None:
-        # Fill the empty queue slot for v with the best viable parked label.
-        while parked[v]:
-            _key, _serial, lab = heapq.heappop(parked[v])
-            if lab.path_id() in permanent_ids[v]:
-                continue
-            if dominated(permanents[v], lab.weight):
-                lab.dead = True
-                continue
-            set_entry(v, lab)
-            return
-
-    root = Label(
-        vertex=instance.source,
-        pred=None,
-        arc=None,
-        weight=space.initial,
-        length=0,
-        serial=next(serials),
+    push(
+        Label(
+            vertex=instance.source,
+            pred=None,
+            arc=None,
+            weight=space.initial,
+            length=0,
+            serial=next(serials),
+        )
     )
-    set_entry(instance.source, root)
 
     last_key = None
     while heap:
-        entry = heapq.heappop(heap)
-        key, v, _serial, label = entry
-        if label is None:
+        key, v, _serial, label = heapq.heappop(heap)
+        if dominated(permanents[v], label.weight):
+            label.dead = True
             continue
-        del entry_for[v]
 
         if last_key is not None and key < last_key:
             raise LeoMonotonicityError(
@@ -445,10 +424,7 @@ def mda_solve(
             assert not (c is EQUAL and not strict_only), "duplicate weight slipped past the candidate filter"
 
         permanents[v].append(label)
-        permanent_ids[v].add(label.path_id())
         stats.extractions += 1
-
-        promote(v)
 
         for arc in instance.out_arcs(v):
             u = arc.head
@@ -460,25 +436,16 @@ def mda_solve(
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            cand = Label(
-                vertex=u,
-                pred=label,
-                arc=arc,
-                weight=w,
-                length=label.length + 1,
-                serial=next(serials),
+            push(
+                Label(
+                    vertex=u,
+                    pred=label,
+                    arc=arc,
+                    weight=w,
+                    length=label.length + 1,
+                    serial=next(serials),
+                )
             )
-            current = entry_for.get(u)
-            if current is None:
-                park(cand)
-                promote(u)
-            elif key_of(w) < current[0]:
-                displaced = current[3]
-                current[3] = None
-                park(displaced)
-                set_entry(u, cand)
-            else:
-                park(cand)
 
     return SolveResult(
         frontiers=[Frontier(v, permanents[v]) for v in range(n)],

@@ -15,6 +15,7 @@ assertion failed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -215,15 +216,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
             return 3
 
-    if algorithm == "bellman":
-        result = bellman_solve(
-            instance,
-            mode,
-            max_iterations=args.max_iterations,
-            drop_infeasible=args.drop_infeasible,
-        )
-    else:
-        result = mda_solve(instance, mode, drop_infeasible=args.drop_infeasible)
+    if args.max_iterations is not None:
+        instance = dataclasses.replace(instance, max_iterations=args.max_iterations)
+    solve = bellman_solve if algorithm == "bellman" else mda_solve
+    result = solve(instance, mode, drop_infeasible=args.drop_infeasible)
 
     doc = {
         "format_version": FORMAT_VERSION,

@@ -104,7 +104,7 @@ def random_instance(structure: str, seed: int) -> Instance:
         arc_keys = _random_graph(rng, n, acyclic=False)
         d = 2 if seed % 2 == 0 else 3
         costs = {
-            key: [Fraction(rng.randint(0, 9)) for _ in range(d)] for key in arc_keys
+            key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys
         }
         space = weights.mosp_space(d, costs)
         declared = {WELL_POSED, HISTORY_FREE, INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
@@ -115,7 +115,7 @@ def random_instance(structure: str, seed: int) -> Instance:
         arc_keys = _random_graph(rng, n, acyclic=True)
         d = 2 if seed % 2 == 0 else 3
         costs = {
-            key: [Fraction(rng.randint(0, 9)) for _ in range(d)] for key in arc_keys
+            key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys
         }
         space = weights.mosp_space(d, costs)
         declared = {
@@ -134,8 +134,8 @@ def random_instance(structure: str, seed: int) -> Instance:
         arc_keys = _random_graph(rng, n, acyclic=False)
         costs = {
             key: (
-                [Fraction(rng.randint(0, 9)), Fraction(rng.randint(0, 9))],
-                [Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9))],
+                [rng.randint(0, 9), rng.randint(0, 9)],
+                [rng.randint(1, 9), rng.randint(1, 9)],
             )
             for key in arc_keys
         }
@@ -190,12 +190,12 @@ def random_instance(structure: str, seed: int) -> Instance:
     if structure == "wcspr":
         n = rng.randint(3, 8)
         arc_keys = _random_graph(rng, n, acyclic=False)
-        limit = Fraction(rng.randint(6, 10))
+        limit = rng.randint(6, 10)
         data = {}
         for key in arc_keys:
             data[key] = (
-                Fraction(rng.randint(1, 5)),  # every arc costs something
-                Fraction(rng.randint(0, int(limit))),
+                rng.randint(1, 5),  # every arc costs something
+                rng.randint(0, limit),
                 rng.random() < 0.3,
             )
         space = weights.wcspr_space(limit, data)
@@ -236,11 +236,11 @@ def random_instance(structure: str, seed: int) -> Instance:
     if structure in ("tourist", "tourist-max"):
         n = rng.randint(4, 7)
         arc_keys = _random_graph(rng, n, acyclic=True)
-        lengths = {key: Fraction(2**i) for i, key in enumerate(arc_keys)}
+        lengths = {key: 2**i for i, key in enumerate(arc_keys)}
         total = sum(lengths.values())
         q = rng.randint(1, 2)
         cats = [rng.randint(0, q - 1) for _ in range(n)]
-        vals = [Fraction(rng.randint(0, 9)) for _ in range(n)]
+        vals = [rng.randint(0, 9) for _ in range(n)]
         if structure == "tourist":
             budget = total // 2
             declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, MU_BOUNDED, LEO_MONOTONE}

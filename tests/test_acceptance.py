@@ -154,13 +154,14 @@ def test_max_mode_returns_maximal_complete_sets():
     for structure in ("mosp-max", "tourist-max"):
         for i in range(25):
             inst = random_instance(structure, i)
-            mx = bellman_solve(inst, SolveMode.MAX)
             oracle = brute_force_frontier(inst, inst.mu, SolveMode.MAX)
-            for v in range(inst.vertex_count):
-                got = {reconstruct_path(lab) for lab in mx.frontiers[v]}
-                if got != set(oracle.paths(v)):
-                    failures.append((structure, i, v))
-    verdict("max-mode maximal complete sets (50 instances)", not failures)
+            for solve in (bellman_solve, mda_solve):
+                mx = solve(inst, SolveMode.MAX)
+                for v in range(inst.vertex_count):
+                    got = {reconstruct_path(lab) for lab in mx.frontiers[v]}
+                    if got != set(oracle.paths(v)):
+                        failures.append((structure, i, solve.__name__, v))
+    verdict("max-mode maximal complete sets (50 instances, both solvers)", not failures)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,8 @@ def test_monotonicity_witness_keys_render_like_weights(tmp_path, capsys):
 
 def test_mda_guard_stops_a_zero_gain_cycle(tmp_path):
     # In max mode every turn around the empty-set cycle 1 -> 2 -> 1 is another
-    # path of equal weight; the label-setting solver stops at Bellman's guard.
+    # path of equal weight; the label-setting solver stops at Bellman's guard,
+    # which --max-iterations sets for both solvers.
     doc = minimal_doc(
         graph={
             "vertex_count": 3,
@@ -366,14 +367,15 @@ def test_mda_guard_stops_a_zero_gain_cycle(tmp_path):
         weight_space={"kind": "subset", "params": {"ground_set_size": 1}},
     )
     path = write_doc(tmp_path, doc)
-    r = run_cli("solve", path, "--variant", "max", "--algorithm", "mda", "--force", timeout=60)
-    assert r.returncode == 4
-    assert r.stderr == "iteration guard hit at paths of 12 arcs; frontiers are not final\n"
-    out = json.loads(r.stdout)
-    assert (out["status"], out["final"]) == ("iteration-guard-hit", False)
-    lengths = [e["length"] for fr in out["frontiers"] for e in fr["entries"]]
-    assert max(lengths) == 12
-    assert sorted(lengths) == list(range(13))  # one path per length: 0, then 1 and 2 alternating
+    for extra, guard in (((), 12), (("--max-iterations", "3"), 3)):
+        r = run_cli("solve", path, "--variant", "max", "--algorithm", "mda", "--force", *extra, timeout=60)
+        assert r.returncode == 4
+        assert r.stderr == f"iteration guard hit at paths of {guard} arcs; frontiers are not final\n"
+        out = json.loads(r.stdout)
+        assert (out["status"], out["final"]) == ("iteration-guard-hit", False)
+        lengths = [e["length"] for fr in out["frontiers"] for e in fr["entries"]]
+        assert max(lengths) == guard
+        assert sorted(lengths) == list(range(guard + 1))  # one path per length: 0, then 1 and 2 alternating
 
 
 def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
@@ -623,6 +625,9 @@ def test_traced_comparisons_equal_the_solver_counts():
     metrics = tracing.layer_metrics(tracer.agg)
     assert metrics["algorithms.bellman.comparisons"] == bellman.stats.comparisons == 2750
     assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons == 20
+    # One heap: every queue push is an insertion, nothing is parked or stale.
+    assert metrics["algorithms.mda.heap_pushes"] == mda.stats.insertions == 10
+    assert metrics["algorithms.mda.parked_pushes"] == metrics["algorithms.mda.stale_pops"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,8 @@ from .algorithms import (
     brute_force_frontier,
     enumerate_source_paths,
     enumeration_budget,
-    max_merge,
     mda_solve,
-    min_merge,
+    merge,
     nondominated_weights,
 )
 from .conditions import (

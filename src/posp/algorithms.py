@@ -10,6 +10,9 @@ Two solvers share the label/frontier model from `core`:
   space's linear extension holds every candidate label; a popped label that
   no permanent label of its vertex dominates becomes permanent.
 
+Both apply one dominance rule, `_scan`: Bellman through `merge`, MDA to
+filter candidates and audit popped labels.
+
 `brute_force_frontier` is the oracle both are tested against: plain DFS path
 enumeration up to a length cap followed by a pairwise dominance filter.  Its
 node count is capped by the POSP_BUDGET environment variable.
@@ -100,100 +103,81 @@ class SolveResult:
         return self.frontiers[v]
 
 
-def min_merge(
+def _scan(
+    cmp: Callable[[Any, Any], Any],
+    labels: list[Label],
+    w: Any,
+    keep_equal: bool,
+    stats: SolveStats,
+) -> list[Label] | None:
+    """The dominance rule both solvers apply, stated once.
+
+    Compares each label's weight with `w`, in order.  Returns None at the
+    first label strictly below `w`, or equal to it unless `keep_equal` is
+    set; otherwise the labels strictly above `w`, in order.  Comparisons
+    made are added to `stats`.
+    """
+    beaten = []
+    compared = 0
+    for r in labels:
+        compared += 1
+        c = cmp(r.weight, w)
+        if c is GREATER:
+            beaten.append(r)
+        elif c is LESS or (c is EQUAL and not keep_equal):
+            beaten = None
+            break
+    stats.comparisons += compared
+    return beaten
+
+
+def merge(
     space: WeightSpace,
     frontier: list[Label],
     candidates: list[Label],
+    mode: SolveMode = SolveMode.MIN,
     stats: SolveStats | None = None,
 ) -> list[Label]:
-    """Keep one label per nondominated weight.
+    """Merge candidates into a frontier, keeping what the mode calls efficient.
 
-    Incumbents win ties against candidates, and earlier candidates win ties
-    against later ones; a candidate strictly below an incumbent evicts it.
+    Min mode keeps one label per nondominated weight: incumbents win ties
+    against candidates, and earlier candidates win ties against later ones.
+    Max mode keeps every path whose weight is not strictly dominated; a path
+    already in the frontier (identified by its predecessor chain) is not
+    added again, which is what makes the fixed point detectable.
 
-    One pass per candidate: the scan over the current result stops at the
-    first incumbent at or below the candidate (the candidate dies) and notes
-    every incumbent strictly above it.  Only a candidate that survives the
-    whole scan evicts the noted incumbents and is appended, so the result,
+    One `_scan` per candidate over the current result: a kept candidate
+    evicts the incumbents it strictly beats and is appended.  The result,
     its order and the `dead` flags are those of a rejection pass followed by
     an eviction pass.  That needs no transitivity, only a dual comparator
     (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS), which every
-    `WeightSpace` provides; quasi-transitive spaces take the same pass.
-    Comparisons made are added to `stats` when one is given.
+    `WeightSpace` provides.  Comparisons are added to `stats` when given.
     """
     cmp = space.comparator
+    keep_equal = mode is SolveMode.MAX
+    if stats is None:
+        stats = SolveStats()
     result = list(frontier)
-    compared = 0
+    ids = {lab.path_id() for lab in result} if keep_equal else None
     for cand in candidates:
-        w = cand.weight
-        beaten = []
-        for r in result:
-            compared += 1
-            c = cmp(r.weight, w)
-            if c is GREATER:
-                beaten.append(r)
-            elif c is LESS or c is EQUAL:
-                cand.dead = True
-                break
+        if keep_equal and cand.path_id() in ids:
+            beaten = None
         else:
-            if beaten:
-                result = _evict(result, beaten)
-            result.append(cand)
-    if stats is not None:
-        stats.comparisons += compared
-    return result
-
-
-def max_merge(
-    space: WeightSpace,
-    frontier: list[Label],
-    candidates: list[Label],
-    stats: SolveStats | None = None,
-) -> list[Label]:
-    """Keep every path whose weight is not strictly dominated.
-
-    Equal weights on different paths coexist; re-deriving a path already in
-    the frontier is a no-op (paths are identified by their predecessor
-    chain), which is what makes the fixed point detectable.  The dominance
-    scan is `min_merge`'s single pass with only strict domination rejecting.
-    """
-    cmp = space.comparator
-    result = list(frontier)
-    ids = {lab.path_id() for lab in result}
-    compared = 0
-    for cand in candidates:
-        pid = cand.path_id()
-        if pid in ids:
+            beaten = _scan(cmp, result, cand.weight, keep_equal, stats)
+        if beaten is None:
             cand.dead = True
             continue
-        w = cand.weight
-        beaten = []
-        for r in result:
-            compared += 1
-            c = cmp(r.weight, w)
-            if c is GREATER:
-                beaten.append(r)
-            elif c is LESS:
-                cand.dead = True
-                break
-        else:
-            if beaten:
-                result = _evict(result, beaten)
-                for r in beaten:
-                    ids.discard(r.path_id())
-            result.append(cand)
-            ids.add(pid)
-    if stats is not None:
-        stats.comparisons += compared
+        if beaten:
+            for r in beaten:
+                r.dead = True
+            if keep_equal:
+                ids.difference_update(r.path_id() for r in beaten)
+            gone = set(beaten)
+            result = [r for r in result if r not in gone]
+        result.append(cand)
+        if keep_equal:
+            ids.add(cand.path_id())
     return result
-
-
-def _evict(result: list[Label], beaten: list[Label]) -> list[Label]:
-    """Mark `beaten` dead and return `result` without them, order kept."""
-    for r in beaten:
-        r.dead = True
-    gone = set(beaten)
-    return [r for r in result if r not in gone]
 
 
 def iteration_guard(instance: Instance) -> int:
@@ -238,7 +222,6 @@ def bellman_solve(
     """
     stats = SolveStats()
     space = instance.space
-    merge = min_merge if mode is SolveMode.MIN else max_merge
     semi_naive = space.relation_kind != QUASI_TRANSITIVE
     guard = iteration_guard(instance)
 
@@ -287,7 +270,7 @@ def bellman_solve(
             stats.merge_operations += 1
             merged, inserted = frontiers[v], []
             if candidates:
-                merged = merge(space, frontiers[v], candidates, stats)
+                merged = merge(space, frontiers[v], candidates, mode, stats)
                 # Kept candidates sit at the end of `merged`, in candidate order.
                 inserted = [c for c in candidates if not c.dead]
                 if inserted:
@@ -334,9 +317,11 @@ def mda_solve(
 
     In min mode a label is pruned by any permanent weight at or below it
     (one path per weight); in max mode only strict domination prunes, so
-    equal-weight paths accumulate.  The filter runs when a candidate is
-    created and again when it is popped, since its vertex may have gained
-    permanent labels in between.
+    equal-weight paths accumulate.  The filter is `merge`'s `_scan` over
+    the vertex's permanent labels.  It runs when a candidate is created and
+    again when it is popped, since its vertex may have gained permanent
+    labels in between; the pop-time scan also finds the permanent labels a
+    surviving label is strictly below, which is the permanence audit.
 
     A candidate that survives pruning but is longer than
     `iteration_guard(instance)` arcs is dropped, and the result then has
@@ -352,20 +337,9 @@ def mda_solve(
     stats = SolveStats()
     cmp = space.comparator
     key_of = space.leo_key
-    strict_only = mode is SolveMode.MAX
+    keep_equal = mode is SolveMode.MAX
     guard = iteration_guard(instance)
     status = CONVERGED
-
-    def dominated(permanents: list[Label], w: Any) -> bool:
-        compared = 0
-        for lab in permanents:
-            compared += 1
-            c = cmp(lab.weight, w)
-            if c is LESS or (not strict_only and c is EQUAL):
-                stats.comparisons += compared
-                return True
-        stats.comparisons += compared
-        return False
 
     n = instance.vertex_count
     permanents: list[list[Label]] = [[] for _ in range(n)]
@@ -390,7 +364,8 @@ def mda_solve(
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        if dominated(permanents[v], label.weight):
+        beaten = _scan(cmp, permanents[v], label.weight, keep_equal, stats)
+        if beaten is None:
             label.dead = True
             continue
 
@@ -406,22 +381,21 @@ def mda_solve(
             )
         last_key = key
 
-        stats.comparisons += len(permanents[v])
-        for perm in permanents[v]:
-            c = cmp(perm.weight, label.weight)
-            if c is LESS or c is GREATER:
-                raise LeoMonotonicityError(
-                    "a permanent label and a later extraction are strictly ordered; "
-                    "the linear extension is not monotone along arcs on this instance",
-                    witness={
-                        "permanent_path": list(reconstruct_path(perm)),
-                        "permanent_weight": space.render_weight(perm.weight),
-                        "extracted_path": list(reconstruct_path(label)),
-                        "extracted_weight": space.render_weight(label.weight),
-                        "relation": c.value,
-                    },
-                )
-            assert not (c is EQUAL and not strict_only), "duplicate weight slipped past the candidate filter"
+        if beaten:
+            # The filter left no permanent below the label (nor, in min mode,
+            # equal to it), so the first strictly ordered one is above it.
+            perm = beaten[0]
+            raise LeoMonotonicityError(
+                "a permanent label and a later extraction are strictly ordered; "
+                "the linear extension is not monotone along arcs on this instance",
+                witness={
+                    "permanent_path": list(reconstruct_path(perm)),
+                    "permanent_weight": space.render_weight(perm.weight),
+                    "extracted_path": list(reconstruct_path(label)),
+                    "extracted_weight": space.render_weight(label.weight),
+                    "relation": GREATER.value,
+                },
+            )
 
         permanents[v].append(label)
         stats.extractions += 1
@@ -431,7 +405,7 @@ def mda_solve(
             w = space.update(label.weight, arc)
             if drop_infeasible and space.is_infeasible(w):
                 continue
-            if dominated(permanents[u], w):
+            if _scan(cmp, permanents[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT

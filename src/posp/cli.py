@@ -187,6 +187,11 @@ def _frontier_docs(instance: Instance, result: SolveResult) -> list[dict]:
 # Commands.
 
 
+def _automatic_choice(permitted: dict[str, bool]) -> str | None:
+    """The solver `solve --algorithm auto` runs: MDA if permitted, else Bellman."""
+    return "mda" if permitted["mda"] else "bellman" if permitted["bellman"] else None
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_load_document(args.file))
     variant = args.variant
@@ -195,13 +200,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         instance.declared, variant, instance.space.leo_key is not None
     )
     if args.algorithm == "auto":
-        if permitted["mda"]:
-            algorithm = "mda"
-        elif permitted["bellman"]:
-            algorithm = "bellman"
-        elif args.force:
-            algorithm = "bellman"
-        else:
+        algorithm = _automatic_choice(permitted) or ("bellman" if args.force else None)
+        if algorithm is None:
             _err(
                 "no selection-table row permits any solver for the declared properties "
                 f"(variant {variant}); use --force to run the label-correcting solver anyway"
@@ -368,7 +368,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
                 "missing": list(ev.missing),
             }
         )
-    selected = "mda" if permitted["mda"] else "bellman" if permitted["bellman"] else None
+    selected = _automatic_choice(permitted)
     _emit(
         {
             "format_version": FORMAT_VERSION,

@@ -29,7 +29,7 @@ is supplied separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .algorithms import (
     enumerate_source_paths,
@@ -60,6 +60,10 @@ from .core import (
 )
 
 DEFAULT_DEPTH = 6
+
+# Most distinct weights `check_linear_extension` audits the pick order on;
+# its transitivity check is cubic in this.
+LEO_SAMPLE_LIMIT = 32
 
 HOLDS = "holds-to-depth"
 VIOLATED = "violated"
@@ -399,14 +403,12 @@ def check_subpath_optimality(
 def check_linear_extension(
     instance: Instance,
     depth: int = DEFAULT_DEPTH,
-    sample: Sequence[Any] | None = None,
-    sample_limit: int = 32,
     paths: PathSample | None = None,
 ) -> ConditionReport:
     """Audit the space's linear extension.
 
-    Checks, on a weight sample (by default the distinct weights reachable
-    within the depth, truncated to `sample_limit`): totality, antisymmetry,
+    Checks, on a weight sample (the distinct weights reachable within the
+    depth, truncated to `LEO_SAMPLE_LIMIT`): totality, antisymmetry,
     and transitivity of the pick order, and that strict dominance implies
     being picked first.  Then checks monotonicity along arcs — every
     enumerated path must be picked over each of its one-arc extensions.
@@ -415,9 +417,7 @@ def check_linear_extension(
     if space.leo_key is None:
         raise NoLeoError(f"weight space {space.name!r} has no linear extension to check")
     reps = (paths or PathSample(instance)).representatives(depth - 1)
-    if sample is None:
-        sample = dict.fromkeys(w for found in reps for _p, w in found)
-    sample = list(sample)[:sample_limit]
+    sample = list(dict.fromkeys(w for found in reps for _p, w in found))[:LEO_SAMPLE_LIMIT]
 
     def violated(kind, a, b, **extra):
         witness = {"kind": kind, "weights": [_render(instance, a), _render(instance, b)]}

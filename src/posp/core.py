@@ -49,9 +49,10 @@ class BudgetExceededError(PospError):
 class LeoMonotonicityError(PospError):
     """The label-setting solver observed an extraction order contradiction.
 
-    Carries a human-readable counterexample: a permanent label strictly
-    dominated a later extraction (or vice versa), which cannot happen when the
-    declared linear extension is monotone along arcs.
+    Carries a human-readable counterexample: the extraction order ran
+    backwards, or a later extraction strictly dominated a permanent label,
+    neither of which can happen when the linear extension is monotone along
+    arcs.
     """
 
     def __init__(self, message: str, witness: dict | None = None):

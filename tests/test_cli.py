@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -324,6 +325,42 @@ def test_solve_monotonicity_assertion_failure_exits_five(tmp_path):
     assert "monotonicity" in r.stderr
 
 
+def test_solve_reports_a_permanent_label_above_a_later_extraction(tmp_path):
+    # The key extracts b at vertex 1 before c at vertex 2, whose arc to 1
+    # yields a < b: the later extraction is strictly below a permanent label.
+    def arc(tail, head, entries):
+        return {"tail": tail, "head": head, "entries": entries}
+
+    doc = minimal_doc(
+        name="strictly-ordered-permanent",
+        graph={"vertex_count": 3, "arcs": [{"tail": t, "head": h} for t, h in ((0, 1), (0, 2), (2, 1))]},
+        weight_space={
+            "kind": "table",
+            "params": {
+                "weights": ["s", "b", "c", "a"],
+                "strict_pairs": [["a", "b"]],
+                "initial": "s",
+                "leo": ["s", "b", "c", "a"],
+                "updates": [arc(0, 1, {"s": "b"}), arc(0, 2, {"s": "c"}), arc(2, 1, {"c": "a"})],
+            },
+        },
+    )
+    path = write_doc(tmp_path, doc)
+    for variant in ("min", "max"):
+        r = run_cli("solve", path, "--algorithm", "mda", "--force", "--variant", variant)
+        assert r.returncode == 5
+        assert r.stdout == ""
+        message, witness = r.stderr.splitlines()
+        assert message.startswith("monotonicity violation: a permanent label and a later extraction")
+        assert json.loads(witness) == {
+            "permanent_path": [0, 1],
+            "permanent_weight": "b",
+            "extracted_path": [0, 2, 1],
+            "extracted_weight": "a",
+            "relation": "greater",
+        }
+
+
 def test_monotonicity_witness_keys_render_like_weights(tmp_path, capsys):
     # A negative cost makes the extraction order run backwards; the witness
     # keys must not depend on how the document spells its numbers.
@@ -378,7 +415,7 @@ def test_mda_guard_stops_a_zero_gain_cycle(tmp_path):
         assert sorted(lengths) == list(range(guard + 1))  # one path per length: 0, then 1 and 2 alternating
 
 
-def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
+def quasi_transitive_product_doc():
     # Parts with different relation kinds make a quasi-transitive product,
     # which the fixpoint solver answers by re-extending every frontier.
     def chain(add):
@@ -386,7 +423,7 @@ def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
 
     table_costs = {(0, 1): 0, (1, 2): 0, (0, 2): 2, (2, 0): 1}
     mosp_costs = {(0, 1): 5, (1, 2): 5, (0, 2): 1, (2, 0): 1}
-    doc = {
+    return {
         "format_version": 1,
         "name": "quasi-transitive-product",
         "graph": {
@@ -418,6 +455,10 @@ def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
         },
         "declared_properties": ["well-posed", "history-free", "weakly-independent"],
     }
+
+
+def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
+    doc = quasi_transitive_product_doc()
     path = write_doc(tmp_path, doc)
     r = run_cli("solve", path)
     assert r.returncode == 0, r.stderr
@@ -609,25 +650,48 @@ def test_traced_check_enumerates_once(selection, checkers, capsys):
         assert metrics["conditions.leo_picks"] > 0
 
 
-def test_traced_comparisons_equal_the_solver_counts():
-    # The solvers count their own comparisons; the tracer counts every call
-    # of the comparator it wraps.  The two must agree.
+def traced(solves):
+    """`solves(tracer)` run as one traced operation: its result and the metrics."""
     tracing = load_tracer()
     tracer = tracing.Tracer()
     tracer.install(posp)
     try:
         frame = tracer.open("op")
-        bellman = posp.algorithms.bellman_solve(posp.generators.kn_instance(3, 5))
-        mda = cli.mda_solve(cli.parse_instance(fixture_doc("evsp_demo.json")))
+        result = solves(tracer)
         tracer.close(frame)
     finally:
         tracer.uninstall()
-    metrics = tracing.layer_metrics(tracer.agg)
+    return result, tracing.layer_metrics(tracer.agg)
+
+
+def test_traced_comparisons_equal_the_solver_counts():
+    # The solvers count their own comparisons; the tracer counts every call
+    # of the comparator it wraps.  The two must agree.
+    (bellman, mda), metrics = traced(
+        lambda _tracer: (
+            posp.algorithms.bellman_solve(posp.generators.kn_instance(3, 5)),
+            cli.mda_solve(cli.parse_instance(fixture_doc("evsp_demo.json"))),
+        )
+    )
     assert metrics["algorithms.bellman.comparisons"] == bellman.stats.comparisons == 2750
-    assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons == 20
+    assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons == 15
     # One heap: every queue push is an insertion, nothing is parked or stale.
     assert metrics["algorithms.mda.heap_pushes"] == mda.stats.insertions == 10
     assert metrics["algorithms.mda.parked_pushes"] == metrics["algorithms.mda.stale_pops"] == 0
+
+    # Max mode, where equal weights are kept; the quasi-transitive product
+    # re-derives paths, which the merge rejects by path identity.
+    def max_mode_solves(tracer):
+        inst = random_instance("mosp-max", 0)
+        inst = dataclasses.replace(inst, space=tracer.traced_space(inst.space))
+        product = cli.parse_instance(quasi_transitive_product_doc())
+        bellman = [cli.bellman_solve(i, SolveMode.MAX) for i in (inst, product)]
+        return bellman, cli.mda_solve(inst, SolveMode.MAX)
+
+    (bellman, mda), metrics = traced(max_mode_solves)
+    assert metrics["algorithms.bellman.comparisons"] == sum(r.stats.comparisons for r in bellman)
+    assert all(r.stats.comparisons > 0 for r in bellman)
+    assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons > 0
 
 
 # ---------------------------------------------------------------------------

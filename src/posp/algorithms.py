@@ -95,13 +95,6 @@ class SolveResult:
     algorithm: str
     iteration_sizes: list[int] = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        return self.status == CONVERGED
-
-    def frontier(self, v: int) -> Frontier:
-        return self.frontiers[v]
-
 
 def _scan(
     cmp: Callable[[Any, Any], Any],
@@ -451,16 +444,20 @@ class OracleResult:
 
 
 def enumerate_source_paths(
-    instance: Instance, max_len: int, budget: int | None = None
+    instance: Instance,
+    max_len: int,
+    budget: int | None = None,
+    space: WeightSpace | None = None,
 ) -> tuple[list[list[tuple[tuple[int, ...], Any]]], int]:
     """All source paths of at most max_len arcs, grouped per end vertex.
 
     Depth-first, following arcs in index order; each discovered path counts
-    one node against the budget.  Returns (per-vertex lists of (path, weight)
-    in discovery order, node count).
+    one node against the budget.  Weights are folded with `space`, the
+    instance's own space unless given.  Returns (per-vertex lists of
+    (path, weight) in discovery order, node count).
     """
     cap = budget if budget is not None else enumeration_budget()
-    space = instance.space
+    space = instance.space if space is None else space
     by_vertex: list[list[tuple[tuple[int, ...], Any]]] = [
         [] for _ in range(instance.vertex_count)
     ]

@@ -16,6 +16,12 @@ checker called without one builds its own.  The arc, cycle and
 linear-extension checks read paths of at most depth - 1 arcs, since they
 extend each path by at least one arc; the others read paths of at most depth.
 
+The sample also carries `space`, a view of the instance's weight space that
+evaluates each distinct update (weight, arc) and each distinct comparison
+(a, b) once, so one `posp check` makes each such call once.  That assumes
+both are functions of their arguments.  `check_history_free` is the checker
+that tests the assumption, so it alone calls the raw `update`.
+
 `recommend_algorithm` evaluates declared properties against the selection
 table: each row lists the properties that must be declared (closed under the
 implications) for an algorithm/problem combination to be safe, the further
@@ -28,6 +34,7 @@ is supplied separately.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -56,13 +63,14 @@ from .core import (
     BudgetExceededError,
     Instance,
     ValidationError,
+    WeightSpace,
     leo_pick,
 )
 
 DEFAULT_DEPTH = 6
 
 # Most distinct weights `check_linear_extension` audits the pick order on;
-# its transitivity check is cubic in this.
+# its pairwise checks are quadratic in this.
 LEO_SAMPLE_LIMIT = 32
 
 HOLDS = "holds-to-depth"
@@ -96,6 +104,34 @@ def _render(instance: Instance, w: Any) -> Any:
 Paths = list[list[tuple[tuple[int, ...], Any]]]
 
 
+def _memoized(space: WeightSpace) -> WeightSpace:
+    """`space` with `update` and `comparator` evaluated once per distinct
+    arguments.  A call that raises stores nothing, so it raises again."""
+    update, comparator = space.update, space.comparator
+    updated: dict[tuple[Any, int], Any] = {}
+    compared: dict[tuple[Any, Any], Any] = {}
+
+    def memo_update(w, arc):
+        key = (w, arc.index)
+        try:
+            return updated[key]
+        except KeyError:
+            pass
+        result = updated[key] = update(w, arc)
+        return result
+
+    def memo_comparator(a, b):
+        key = (a, b)
+        try:
+            return compared[key]
+        except KeyError:
+            pass
+        result = compared[key] = comparator(a, b)
+        return result
+
+    return dataclasses.replace(space, update=memo_update, comparator=memo_comparator)
+
+
 class PathSample:
     """The source paths the checkers examine, enumerated once.
 
@@ -103,10 +139,14 @@ class PathSample:
     shallower depth by keeping the paths of at most that many arcs, and always
     the source path: depth-first preorder restricted to shorter paths is
     exactly the shallower enumeration's discovery order.
+
+    `space` is the instance's weight space memoized for the life of the
+    sample; the enumeration and every checker but `check_history_free` use it.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        self.space = _memoized(instance.space)
         self.depth = -1
         self.by_vertex: Paths = []
         self._reps: dict[int, Paths] = {}
@@ -116,7 +156,7 @@ class PathSample:
         discovery order."""
         depth = max(depth, 0)
         if depth > self.depth:
-            self.by_vertex, _ = enumerate_source_paths(self.instance, depth)
+            self.by_vertex, _ = enumerate_source_paths(self.instance, depth, space=self.space)
             self.depth = depth
         if depth == self.depth:
             return self.by_vertex
@@ -144,7 +184,9 @@ def check_history_free(
     equal-weight group, with the same arguments every time.  It therefore
     holds by construction for every space that folds an update function,
     which includes every built-in space; it can only catch an `update` whose
-    result is not a function of (weight, arc).
+    result is not a function of (weight, arc).  That is the assumption the
+    sample's memoized space rests on, so this check calls the instance's raw
+    `update`: through the memo it would hold vacuously.
     """
     by_vertex = (paths or PathSample(instance)).paths(depth)
     space = instance.space
@@ -192,8 +234,9 @@ def check_independence(
     if mode not in ("strict", "weak"):
         raise ValidationError(f"unknown independence mode {mode!r}")
     name = INDEPENDENT if mode == "strict" else WEAKLY_INDEPENDENT
-    reps = (paths or PathSample(instance)).representatives(depth)
-    space = instance.space
+    sample = paths or PathSample(instance)
+    reps = sample.representatives(depth)
+    space = sample.space
     for v in range(instance.vertex_count):
         found = reps[v]
         for i in range(len(found)):
@@ -257,11 +300,11 @@ def check_monotonicity(
     arc, the cycle kinds a closed walk at the path's head, total length
     bounded by the depth.
     """
-    paths = paths or PathSample(instance)
-    space = instance.space
+    sample = paths or PathSample(instance)
+    space = sample.space
     if kind in _ARC_KINDS:
         accept = _ARC_KINDS[kind]
-        reps = paths.representatives(depth - 1)
+        reps = sample.representatives(depth - 1)
         for v in range(instance.vertex_count):
             for path, w in reps[v]:
                 for arc in instance.out_arcs(v):
@@ -286,7 +329,7 @@ def check_monotonicity(
     accept = _CYCLE_KINDS[kind]
     cap = enumeration_budget()
     nodes = 0
-    reps = paths.representatives(depth - 1)
+    reps = sample.representatives(depth - 1)
     for v in range(instance.vertex_count):
         for path, w in reps[v]:
             remaining = depth - (len(path) - 1)
@@ -338,8 +381,9 @@ def check_subpath_optimality(
     if mode not in ("strong", "weak"):
         raise ValidationError(f"unknown subpath-optimality mode {mode!r}")
     name = SUBPATH_OPTIMAL if mode == "strong" else WEAKLY_SUBPATH_OPTIMAL
-    by_vertex = (paths or PathSample(instance)).paths(depth)
-    space = instance.space
+    sample = paths or PathSample(instance)
+    by_vertex = sample.paths(depth)
+    space = sample.space
     weight_of: dict[tuple[int, ...], Any] = {}
     for found in by_vertex:
         for path, w in found:
@@ -408,15 +452,17 @@ def check_linear_extension(
     """Audit the space's linear extension.
 
     Checks, on a weight sample (the distinct weights reachable within the
-    depth, truncated to `LEO_SAMPLE_LIMIT`): totality, antisymmetry,
-    and transitivity of the pick order, and that strict dominance implies
-    being picked first.  Then checks monotonicity along arcs — every
-    enumerated path must be picked over each of its one-arc extensions.
+    depth, truncated to `LEO_SAMPLE_LIMIT`): reflexivity, totality,
+    antisymmetry and transitivity of the pick order, and that strict
+    dominance implies being picked first.  Then checks monotonicity along
+    arcs — every enumerated path must be picked over each of its one-arc
+    extensions.
     """
-    space = instance.space
+    paths = paths or PathSample(instance)
+    space = paths.space
     if space.leo_key is None:
         raise NoLeoError(f"weight space {space.name!r} has no linear extension to check")
-    reps = (paths or PathSample(instance)).representatives(depth - 1)
+    reps = paths.representatives(depth - 1)
     sample = list(dict.fromkeys(w for found in reps for _p, w in found))[:LEO_SAMPLE_LIMIT]
 
     def violated(kind, a, b, **extra):
@@ -428,23 +474,34 @@ def check_linear_extension(
     for a, ka in zip(sample, keys):
         if not ka <= ka:
             return violated("reflexivity", a, a)
+    # Bit j of over[i] is set when sample[i] is picked over sample[j].
+    over = []
     for a, ka in zip(sample, keys):
-        for b, kb in zip(sample, keys):
+        mask = 0
+        for j, (b, kb) in enumerate(zip(sample, keys)):
             ab_first = ka <= kb
             ba_first = kb <= ka
             if not ab_first and not ba_first:
                 return violated("totality", a, b)
             if ab_first and ba_first and a != b:
                 return violated("antisymmetry", a, b)
-            if space.comparator(a, b) is LESS and not ab_first:
+            if ab_first:
+                mask |= 1 << j
+            elif space.comparator(a, b) is LESS:
                 return violated("dominance-agreement", a, b)
-    for a, ka in zip(sample, keys):
-        for b, kb in zip(sample, keys):
-            if not ka <= kb:
-                continue
-            for c, kc in zip(sample, keys):
-                if kb <= kc and not ka <= kc:
-                    return violated("transitivity", a, c, via=_render(instance, b))
+        over.append(mask)
+    # The first (a, b, c) in sample order with a over b, b over c and not a
+    # over c: for each b under a in order, the lowest c under b but not a.
+    for i, a in enumerate(sample):
+        rest = over[i]
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            beyond = over[j] & ~over[i]
+            if beyond:
+                c = sample[(beyond & -beyond).bit_length() - 1]
+                return violated("transitivity", a, c, via=_render(instance, sample[j]))
+            rest ^= low
 
     for v in range(instance.vertex_count):
         for path, w in reps[v]:

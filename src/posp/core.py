@@ -200,24 +200,27 @@ class TableWeightSpace:
         self._members = set(self.weights)
         if len(self._members) != len(self.weights):
             raise ValidationError("duplicate weight names", "weights")
+        above: dict[Hashable, list[Hashable]] = {w: [] for w in self.weights}
         for lo, hi in strict_pairs:
             if lo not in self._members or hi not in self._members:
                 raise ValidationError(f"unknown weight in pair ({lo!r}, {hi!r})", "strict_pairs")
-        closure = {(lo, hi) for lo, hi in strict_pairs}
-        # Transitive closure by fixpoint; fine at table-space scale.
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(closure):
-                for c, d in list(closure):
-                    if b == c and (a, d) not in closure:
-                        closure.add((a, d))
-                        changed = True
-        for a, b in closure:
-            if a == b or (b, a) in closure:
+            above[lo].append(hi)
+        # Transitive closure: one depth-first search per weight.  A weight
+        # that reaches itself lies on a cycle of strict dominance.
+        closure = set()
+        for w in self.weights:
+            reached = set()
+            stack = list(above[w])
+            while stack:
+                x = stack.pop()
+                if x not in reached:
+                    reached.add(x)
+                    stack.extend(above[x])
+            if w in reached:
                 raise ValidationError(
-                    f"strict dominance is not antisymmetric around {a!r}", "strict_pairs"
+                    f"strict dominance is not antisymmetric around {w!r}", "strict_pairs"
                 )
+            closure.update((w, x) for x in reached)
         self._less = closure
 
         if initial not in self._members:
@@ -422,9 +425,6 @@ class Frontier:
 
     vertex: int
     labels: list[Label] = field(default_factory=list)
-
-    def weights(self) -> list[Any]:
-        return [lab.weight for lab in self.labels]
 
     def __len__(self) -> int:
         return len(self.labels)

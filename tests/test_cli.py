@@ -650,6 +650,51 @@ def test_traced_check_enumerates_once(selection, checkers, capsys):
         assert metrics["conditions.leo_picks"] > 0
 
 
+@pytest.mark.parametrize(
+    "fixture, updates, raw_updates, comparisons",
+    [
+        ("evsp_demo.json", 20, 0, 180),
+        ("subset_catchup.json", 6, 0, 8),
+        ("nonsimple_witness.json", 18, 11, 8),
+    ],
+)
+def test_check_evaluates_each_update_once(
+    fixture, updates, raw_updates, comparisons, monkeypatch, capsys
+):
+    # The parsed space is wrapped the way the benchmark's tracer wraps it, so
+    # these are the calls `weights.update_calls` and `compare_calls` count.
+    # Only check_history_free calls `update` directly; every other call comes
+    # through the path sample's memo, once per distinct (weight, arc).
+    totals = {"update": 0, "raw": 0, "compare": 0}
+    memoized: dict = {}
+    parse = cli.parse_instance
+
+    def counting_parse(doc):
+        instance = parse(doc)
+        space = instance.space
+
+        def update(w, arc):
+            totals["update"] += 1
+            if sys._getframe(1).f_code.co_name == "check_history_free":
+                totals["raw"] += 1
+            else:
+                memoized[w, arc.index] = memoized.get((w, arc.index), 0) + 1
+            return space.update(w, arc)
+
+        def comparator(a, b):
+            totals["compare"] += 1
+            return space.comparator(a, b)
+
+        counted = dataclasses.replace(space, update=update, comparator=comparator)
+        return dataclasses.replace(instance, space=counted)
+
+    monkeypatch.setattr(cli, "parse_instance", counting_parse)
+    assert cli.main(["check", fixture_file(fixture)]) == 0
+    capsys.readouterr()
+    assert set(memoized.values()) == {1}
+    assert totals == {"update": updates, "raw": raw_updates, "compare": comparisons}
+
+
 def traced(solves):
     """`solves(tracer)` run as one traced operation: its result and the metrics."""
     tracing = load_tracer()

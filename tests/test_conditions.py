@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import posp
+from posp import cli, conditions
 from posp import (
     ALL_PROPERTIES,
     EQUAL,
@@ -44,7 +46,7 @@ def test_history_free_holds_on_fixture_tables():
         assert report.holds, name
 
 
-def test_history_free_fails_when_an_update_is_not_a_function_of_weight_and_arc():
+def drifting_instance():
     # Both paths 0-1-3 and 0-2-3 weigh 2.  The update along 3 -> 4 adds how
     # often it was called before, so the two equal weights extend unequally.
     calls = []
@@ -62,14 +64,31 @@ def test_history_free_fails_when_an_update_is_not_a_function_of_weight_and_arc()
         initial=0,
         render=str,
     )
-    inst = build_instance(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], 0, space)
-    report = check_history_free(inst, depth=3)
+    return build_instance(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)], 0, space)
+
+
+def test_history_free_fails_when_an_update_is_not_a_function_of_weight_and_arc():
+    report = check_history_free(drifting_instance(), depth=3)
     assert report.verdict == "violated"
     assert report.witness["paths"] == [[0, 1, 3], [0, 2, 3]]
     assert report.witness["arc"] == [3, 4]
     assert report.witness["weight"] == "2"
     first, second = report.witness["extended_weights"]
     assert first != second
+
+
+@pytest.mark.parametrize("selection", [["--conditions", "history-free"], []])
+def test_history_free_fails_under_posp_check(selection, monkeypatch, capsys):
+    # `posp check` memoizes updates for the other checkers; history-free
+    # must still see the raw update, or it would hold vacuously.
+    instance = drifting_instance()
+    monkeypatch.setattr(cli, "_load_document", lambda path: None)
+    monkeypatch.setattr(cli, "parse_instance", lambda doc: instance)
+    assert cli.main(["check", "drifting", "--depth", "3", *selection]) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert reports[0]["condition"] == "history-free"
+    assert reports[0]["verdict"] == "violated"
+    assert reports[0]["witness"]["paths"] == [[0, 1, 3], [0, 2, 3]]
 
 
 def test_strict_independence_fails_by_catchup_but_weak_holds():
@@ -174,6 +193,116 @@ def test_linear_extension_needs_a_key():
     inst = load_instance("nonsimple_witness.json")
     with pytest.raises(NoLeoError):
         check_linear_extension(inst)
+
+
+def cubic_linear_extension(instance, depth):
+    """Reference for `check_linear_extension`: every pair, then every triple."""
+    space = instance.space
+    reps = conditions.PathSample(instance).representatives(depth - 1)
+    sample = list(dict.fromkeys(w for found in reps for _p, w in found))
+    sample = sample[: conditions.LEO_SAMPLE_LIMIT]
+    render = space.render_weight
+
+    def violated(kind, a, b, **extra):
+        witness = {"kind": kind, "weights": [render(a), render(b)]}
+        return conditions.ConditionReport(
+            "linear-extension", "violated", depth, {**witness, **extra}
+        )
+
+    keys = [space.leo_key(w) for w in sample]
+    for a, ka in zip(sample, keys):
+        if not ka <= ka:
+            return violated("reflexivity", a, a)
+    for a, ka in zip(sample, keys):
+        for b, kb in zip(sample, keys):
+            ab_first = ka <= kb
+            ba_first = kb <= ka
+            if not ab_first and not ba_first:
+                return violated("totality", a, b)
+            if ab_first and ba_first and a != b:
+                return violated("antisymmetry", a, b)
+            if space.comparator(a, b) is LESS and not ab_first:
+                return violated("dominance-agreement", a, b)
+    for a, ka in zip(sample, keys):
+        for b, kb in zip(sample, keys):
+            if not ka <= kb:
+                continue
+            for c, kc in zip(sample, keys):
+                if kb <= kc and not ka <= kc:
+                    return violated("transitivity", a, c, via=render(b))
+    for v in range(instance.vertex_count):
+        for path, w in reps[v]:
+            for arc in instance.out_arcs(v):
+                w2 = space.update(w, arc)
+                if not space.leo_key(w) <= space.leo_key(w2):
+                    return violated("arc-monotonicity", w, w2, path=list(path), arc=list(arc.key))
+    return conditions.ConditionReport("linear-extension", "holds-to-depth", depth)
+
+
+class Key:
+    """A pick-order key whose `<=` and `==` read arbitrary tables."""
+
+    def __init__(self, w, le, eq):
+        self.w, self.le, self.eq = w, le, eq
+
+    def __le__(self, other):
+        return self.le[self.w][other.w]
+
+    def __eq__(self, other):
+        return self.eq[self.w][other.w]
+
+
+def random_pick_order_instance(rng, k):
+    # Weight i is the head of arc 0 -> i, so the sample is 0, 1, ..., k.
+    # `<=` is a linear order, random or by weight, with some pairs flipped, made
+    # non-reflexive, non-total or non-antisymmetric at a chosen rate.
+    n = k + 1
+    rank = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(rank)
+    flip = rng.choice([0, 0.05, 0.3])
+    broken = rng.choice([0, 0.01, 0.1])
+    dominated = rng.choice([0, 0.03])
+    le = [[rank[i] <= rank[j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        le[i][i] = rng.random() >= broken / 4
+        for j in range(i + 1, n):
+            if rng.random() < flip:
+                le[i][j], le[j][i] = le[j][i], le[i][j]
+            if rng.random() < broken:
+                le[i][j] = le[j][i] = rng.random() < 0.5
+    eq = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+    less = {(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < dominated}
+    space = WeightSpace(
+        name="pick-order",
+        comparator=lambda a, b: EQUAL if a == b else LESS if (a, b) in less else GREATER,
+        update=lambda w, arc: arc.head,
+        initial=0,
+        leo_key=lambda w: Key(w, le, eq),
+        render=str,
+    )
+    arcs = [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, k)]
+    return build_instance(n, arcs, 0, space)
+
+
+def test_linear_extension_audit_equals_the_cubic_reference():
+    rng = random.Random(5)
+    kinds = set()
+    for trial in range(400):
+        k = rng.randint(30, 40) if trial % 20 == 0 else rng.randint(1, 12)
+        inst = random_pick_order_instance(rng, k)
+        want = cubic_linear_extension(inst, 2).to_dict()
+        assert check_linear_extension(inst, 2).to_dict() == want
+        kinds.add(want["witness"]["kind"] if want["witness"] else want["verdict"])
+    assert kinds == {
+        "reflexivity",
+        "totality",
+        "antisymmetry",
+        "dominance-agreement",
+        "transitivity",
+        "arc-monotonicity",
+        "holds-to-depth",
+    }
 
 
 # ---------------------------------------------------------------------------

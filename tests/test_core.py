@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +141,42 @@ def test_table_closure_matches_matrix_oracle(data):
                 assert got is GREATER
             else:
                 assert got is INCOMPARABLE
+
+
+def fixpoint_closure(pairs):
+    """The transitive closure as table spaces once built it, by fixpoint, or
+    None where strict dominance is not antisymmetric (a cycle)."""
+    closure = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    changed = True
+    if any(a == b or (b, a) in closure for a, b in closure):
+        return None
+    return closure
+
+
+def test_table_closure_equals_the_fixpoint_reference():
+    rng = random.Random(11)
+    cyclic = 0
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        names = [f"w{i}" for i in range(k)]
+        pairs = [
+            (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 2 * k))
+        ]
+        want = fixpoint_closure(pairs)
+        if want is None:
+            cyclic += 1
+            with pytest.raises(ValidationError):
+                TableWeightSpace(names, pairs, {}, names[0])
+        else:
+            assert TableWeightSpace(names, pairs, {}, names[0])._less == want
+    assert 50 < cyclic < 350
 
 
 def test_leo_pick_follows_declared_order():

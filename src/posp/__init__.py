@@ -19,7 +19,6 @@ from .core import (
     DomainMismatchError,
     EQUAL,
     FIRST,
-    Frontier,
     GREATER,
     HISTORY_FREE,
     INCOMPARABLE,
@@ -37,7 +36,6 @@ from .core import (
     QUASI_TRANSITIVE,
     SECOND,
     SUBPATH_OPTIMAL,
-    TableWeightSpace,
     ValidationError,
     WEAKLY_INDEPENDENT,
     WEAKLY_SUBPATH_OPTIMAL,

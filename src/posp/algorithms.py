@@ -1,6 +1,7 @@
 """Solvers and the enumeration oracle.
 
-Two solvers share the label/frontier model from `core`:
+Two solvers share the label model from `core`; a frontier is a vertex's list
+of labels:
 
 - `bellman_solve` — label-correcting fixed point, semi-naive: every round
   extends only the labels the previous round inserted, along the out-arcs
@@ -30,11 +31,8 @@ from typing import Any, Callable, Iterable
 from .core import (
     EQUAL,
     GREATER,
-    INCOMPARABLE,
     LESS,
-    Arc,
     BudgetExceededError,
-    Frontier,
     Instance,
     Label,
     LeoMonotonicityError,
@@ -88,11 +86,9 @@ class SolveStats:
 
 @dataclass
 class SolveResult:
-    frontiers: list[Frontier]
+    frontiers: list[list[Label]]
     stats: SolveStats
     status: str
-    mode: SolveMode
-    algorithm: str
     iteration_sizes: list[int] = field(default_factory=list)
 
 
@@ -175,7 +171,7 @@ def merge(
 
 def iteration_guard(instance: Instance) -> int:
     """Bellman's round limit: the instance's `max_iterations`, else
-    max(4 * vertex count, mu + 2 when a length bound is declared); at least 1.
+    max(4 * vertex count, mu + 2 when a length bound is declared).
 
     Round k of `bellman_solve` builds paths of k arcs, so this is also the
     longest path `mda_solve` builds a label for.
@@ -185,7 +181,7 @@ def iteration_guard(instance: Instance) -> int:
         guard = 4 * instance.vertex_count
         if MU_BOUNDED in instance.declared and instance.mu is not None:
             guard = max(guard, instance.mu + 2)
-    return max(guard, 1)
+    return guard
 
 
 def bellman_solve(
@@ -281,14 +277,7 @@ def bellman_solve(
             break
     stats.iterations = k
 
-    return SolveResult(
-        frontiers=[Frontier(v, frontiers[v]) for v in range(n)],
-        stats=stats,
-        status=status,
-        mode=mode,
-        algorithm="bellman",
-        iteration_sizes=iteration_sizes,
-    )
+    return SolveResult(frontiers=frontiers, stats=stats, status=status, iteration_sizes=iteration_sizes)
 
 
 def mda_solve(
@@ -414,13 +403,7 @@ def mda_solve(
                 )
             )
 
-    return SolveResult(
-        frontiers=[Frontier(v, permanents[v]) for v in range(n)],
-        stats=stats,
-        status=status,
-        mode=mode,
-        algorithm="mda",
-    )
+    return SolveResult(frontiers=permanents, stats=stats, status=status)
 
 
 @dataclass(frozen=True)
@@ -434,7 +417,6 @@ class OracleResult:
     entries: list[list[OracleEntry]]
     node_count: int
     max_len: int
-    mode: SolveMode
 
     def weights(self, v: int) -> list[Any]:
         return [e.weight for e in self.entries[v]]
@@ -524,4 +506,4 @@ def brute_force_frontier(
             entries.append(
                 [OracleEntry(w, path) for (path, w) in found if w in good_set]
             )
-    return OracleResult(entries=entries, node_count=nodes, max_len=effective, mode=mode)
+    return OracleResult(entries=entries, node_count=nodes, max_len=effective)

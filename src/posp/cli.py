@@ -58,7 +58,7 @@ from .core import (
     build_instance,
     reconstruct_path,
 )
-from .generators import MIN_STRUCTURES, kn_instance, random_instance
+from .generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
 from . import weights
 from .weights import _as_int, _bounded_int, _req, build_space
 
@@ -123,7 +123,7 @@ def parse_instance(doc: Any) -> Instance:
         raise ValidationError("name must be a string", "name")
     return build_instance(
         vertex_count=n,
-        arcs=[(key[0], key[1], payload) for key, payload in arc_items],
+        arcs=[key for key, _payload in arc_items],
         source=source,
         space=space,
         declared=declared,
@@ -143,6 +143,8 @@ def _load_document(path: str) -> Any:
         return json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ValidationError(f"{path} nests too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +433,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if args.structures
             else list(MIN_STRUCTURES)
         )
+        known = MIN_STRUCTURES + MAX_STRUCTURES
+        unknown = [s for s in structures if s not in known]
+        if unknown:
+            raise ValidationError(
+                f"unknown structures: {', '.join(unknown)} (available: {', '.join(sorted(known))})"
+            )
         for structure in structures:
             for i in range(args.count):
                 seed = args.seed_base + i

@@ -13,9 +13,9 @@ Labels are immutable records linked through predecessor references; a label
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 
 class PospError(Exception):
@@ -126,7 +126,6 @@ class Arc:
     index: int
     tail: int
     head: int
-    payload: Any = None
 
     @property
     def key(self) -> tuple[int, int]:
@@ -172,118 +171,6 @@ def leo_pick(space: WeightSpace, a: Any, b: Any) -> str:
     if space.leo_key is None:
         raise NoLeoError(f"weight space {space.name!r} has no linear extension")
     return FIRST if space.leo_key(a) <= space.leo_key(b) else SECOND
-
-
-class TableWeightSpace:
-    """Finite weight set with explicit strict-dominance pairs and update tables.
-
-    The strict pairs are closed under transitivity at construction time and
-    checked for antisymmetry (a cycle of strict dominance is rejected).
-    Updates are looked up per (weight, arc) with an optional per-arc default.
-    An optional explicit total order of all weights serves as the linear
-    extension.
-    """
-
-    def __init__(
-        self,
-        weights: Sequence[Hashable],
-        strict_pairs: Iterable[tuple[Hashable, Hashable]],
-        updates: Mapping[tuple[Hashable, tuple[int, int]], Hashable],
-        initial: Hashable,
-        defaults: Mapping[tuple[int, int], Hashable] | None = None,
-        leo_order: Sequence[Hashable] | None = None,
-        name: str = "table",
-        relation_kind: str = PARTIAL_ORDER,
-    ):
-        self.name = name
-        self.weights = tuple(weights)
-        self._members = set(self.weights)
-        if len(self._members) != len(self.weights):
-            raise ValidationError("duplicate weight names", "weights")
-        above: dict[Hashable, list[Hashable]] = {w: [] for w in self.weights}
-        for lo, hi in strict_pairs:
-            if lo not in self._members or hi not in self._members:
-                raise ValidationError(f"unknown weight in pair ({lo!r}, {hi!r})", "strict_pairs")
-            above[lo].append(hi)
-        # Transitive closure: one depth-first search per weight.  A weight
-        # that reaches itself lies on a cycle of strict dominance.
-        closure = set()
-        for w in self.weights:
-            reached = set()
-            stack = list(above[w])
-            while stack:
-                x = stack.pop()
-                if x not in reached:
-                    reached.add(x)
-                    stack.extend(above[x])
-            if w in reached:
-                raise ValidationError(
-                    f"strict dominance is not antisymmetric around {w!r}", "strict_pairs"
-                )
-            closure.update((w, x) for x in reached)
-        self._less = closure
-
-        if initial not in self._members:
-            raise ValidationError(f"initial weight {initial!r} not in weight set", "initial")
-        self.initial = initial
-        self._updates = dict(updates)
-        self._defaults = dict(defaults or {})
-        for (w, _arc), result in self._updates.items():
-            if w not in self._members or result not in self._members:
-                raise ValidationError(f"update entry {w!r} -> {result!r} uses unknown weight", "updates")
-        for _arc, result in self._defaults.items():
-            if result not in self._members:
-                raise ValidationError(f"default result {result!r} unknown", "updates")
-
-        self._leo_index: dict[Hashable, int] | None = None
-        if leo_order is not None:
-            if sorted(map(repr, leo_order)) != sorted(map(repr, self.weights)):
-                raise ValidationError("leo order must list every weight exactly once", "leo")
-            self._leo_index = {w: i for i, w in enumerate(leo_order)}
-
-        self.relation_kind = relation_kind
-
-    def _check_member(self, w: Hashable) -> None:
-        if w not in self._members:
-            raise DomainMismatchError(f"{w!r} is not a weight of table space {self.name!r}")
-
-    def compare(self, a: Hashable, b: Hashable) -> ComparisonResult:
-        self._check_member(a)
-        self._check_member(b)
-        if a == b:
-            return EQUAL
-        if (a, b) in self._less:
-            return LESS
-        if (b, a) in self._less:
-            return GREATER
-        return INCOMPARABLE
-
-    def update(self, w: Hashable, arc: Arc) -> Hashable:
-        self._check_member(w)
-        entry = self._updates.get((w, arc.key))
-        if entry is not None:
-            return entry
-        default = self._defaults.get(arc.key)
-        if default is not None:
-            return default
-        raise MissingUpdateEntryError(
-            f"no update entry for weight {w!r} on arc {arc.key} in table space {self.name!r}"
-        )
-
-    def as_space(self) -> WeightSpace:
-        leo_key = None
-        if self._leo_index is not None:
-            index = self._leo_index
-            leo_key = lambda w: (index[w],)  # noqa: E731
-        return WeightSpace(
-            name=self.name,
-            comparator=self.compare,
-            update=self.update,
-            initial=self.initial,
-            leo_key=leo_key,
-            relation_kind=self.relation_kind,
-            render=lambda w: w,
-        )
 
 
 @dataclass(frozen=True)
@@ -332,6 +219,8 @@ class Instance:
             raise ValidationError("mu-bounded declared but no mu given", "mu")
         if self.mu is not None and self.mu < 0:
             raise ValidationError("mu must be nonnegative", "mu")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValidationError("max_iterations must be at least 1", "max_iterations")
         out_arcs: list[list[Arc]] = [[] for _ in range(n)]
         in_arcs: list[list[Arc]] = [[] for _ in range(n)]
         for arc in self.arcs:
@@ -354,7 +243,7 @@ class Instance:
 
 def build_instance(
     vertex_count: int,
-    arcs: Sequence[tuple],
+    arcs: Sequence[tuple[int, int]],
     source: int,
     space: WeightSpace,
     declared: Iterable[str] = (),
@@ -362,18 +251,10 @@ def build_instance(
     max_iterations: int | None = None,
     name: str = "instance",
 ) -> Instance:
-    """Convenience constructor taking arcs as (tail, head) or (tail, head, payload)."""
-    arc_objs = []
-    for i, arc_tuple in enumerate(arcs):
-        if len(arc_tuple) == 2:
-            t, h = arc_tuple
-            payload = None
-        else:
-            t, h, payload = arc_tuple
-        arc_objs.append(Arc(i, t, h, payload))
+    """Convenience constructor taking arcs as (tail, head) pairs."""
     return Instance(
         vertex_count=vertex_count,
-        arcs=tuple(arc_objs),
+        arcs=tuple(Arc(i, t, h) for i, (t, h) in enumerate(arcs)),
         source=source,
         space=space,
         declared=frozenset(declared),
@@ -417,20 +298,6 @@ def reconstruct_path(label: Label) -> tuple[int, ...]:
         cur = cur.pred
     seq.reverse()
     return tuple(seq)
-
-
-@dataclass
-class Frontier:
-    """Ordered per-vertex collection of labels."""
-
-    vertex: int
-    labels: list[Label] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
 
 
 def fold_weight(instance: Instance, path: Sequence[int]) -> Any:

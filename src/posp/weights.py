@@ -33,6 +33,8 @@ Included structures:
 - `evsp_space` — (time, state of charge) pairs with charging-station loops.
 - `tourist_space` — (tour length, per-category best value) under a length
   budget; over-budget paths collapse to a single sentinel weight.
+- `table_space` — a finite set of named weights with explicit strict-dominance
+  pairs, update tables and an optional linear extension.
 - `product_space` — the component-wise product of two spaces.
 - `kn_space` — the worst-case family on a complete digraph with loops, where
   every path of bounded length keeps a distinct incomparable weight.
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import (
     EQUAL,
@@ -55,7 +57,6 @@ from .core import (
     ComparisonResult,
     DomainMismatchError,
     MissingUpdateEntryError,
-    TableWeightSpace,
     ValidationError,
     WeightSpace,
 )
@@ -67,6 +68,9 @@ Rational = int | Fraction
 
 # Largest vector dimension or tourist category count a document may ask for.
 MAX_COMPONENTS = 1_000
+# Deepest nesting of `product` spaces a document may ask for: building the
+# space, and every update and comparison, recurse once per level.
+MAX_PRODUCT_DEPTH = 32
 
 
 def as_fraction(value: Any, path: str = "") -> Fraction:
@@ -235,7 +239,7 @@ def _arc_data(table: Mapping[ArcKey, Any], arc: Arc, name: str) -> Any:
 # Additive vectors.
 
 
-def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: str = "mosp") -> WeightSpace:
+def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> WeightSpace:
     """Cost vectors added along arcs, ordered componentwise (smaller is better).
 
     The linear extension is the lexicographic order on the vectors.
@@ -247,11 +251,11 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]], name: 
     }
 
     def update(w: tuple[Rational, ...], arc: Arc) -> tuple[Rational, ...]:
-        c = _arc_data(costs, arc, name)
+        c = _arc_data(costs, arc, "mosp")
         return tuple(x + y for x, y in zip(w, c))
 
     return WeightSpace(
-        name=name,
+        name="mosp",
         comparator=_vector_compare,
         update=update,
         initial=(0,) * dimension,
@@ -272,7 +276,6 @@ def semilattice_min_space(
     dimension: int,
     arc_values: Mapping[ArcKey, Sequence[Any]],
     initial: Sequence[Any],
-    name: str = "min-semilattice",
 ) -> WeightSpace:
     """Componentwise minimum along arcs; larger values are better."""
     values = {
@@ -285,11 +288,11 @@ def semilattice_min_space(
         return _vector_compare(a, b).flipped()
 
     def update(w, arc):
-        v = _arc_data(values, arc, name)
+        v = _arc_data(values, arc, "min-semilattice")
         return tuple(min(x, y) for x, y in zip(w, v))
 
     return WeightSpace(
-        name=name,
+        name="min-semilattice",
         comparator=comparator,
         update=update,
         initial=start,
@@ -303,7 +306,6 @@ def bottleneck_space(
     bottleneck_dimension: int,
     arc_costs: Mapping[ArcKey, Any],
     initial_bottleneck: Sequence[Any] | None = None,
-    name: str = "bottleneck",
 ) -> WeightSpace:
     """An additive cost block next to a pairwise-minimum capacity block.
 
@@ -335,15 +337,15 @@ def bottleneck_space(
         return _product_order(_vector_compare(a[0], b[0]), _vector_compare(a[1], b[1]).flipped())
 
     def update(w, arc):
-        a = _arc_data(adds, arc, name)
-        c = _arc_data(caps, arc, name)
+        a = _arc_data(adds, arc, "bottleneck")
+        c = _arc_data(caps, arc, "bottleneck")
         return (
             tuple(x + y for x, y in zip(w[0], a)),
             tuple(min(x, y) for x, y in zip(w[1], c)),
         )
 
     return WeightSpace(
-        name=name,
+        name="bottleneck",
         comparator=comparator,
         update=update,
         initial=((0,) * additive_dimension, top),
@@ -368,9 +370,7 @@ def _read_bottleneck(params, arcs, source):
 # Label sets under inclusion.
 
 
-def subset_space(
-    ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]], name: str = "subset"
-) -> WeightSpace:
+def subset_space(ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]]) -> WeightSpace:
     """Subsets of {1..n} accumulated by union and ordered by inclusion.
 
     The linear extension is shortlex: smaller sets first, ties by the sorted
@@ -401,10 +401,10 @@ def subset_space(
         return INCOMPARABLE
 
     def update(w: frozenset, arc: Arc) -> frozenset:
-        return w | _arc_data(sets, arc, name)
+        return w | _arc_data(sets, arc, "subset")
 
     return WeightSpace(
-        name=name,
+        name="subset",
         comparator=comparator,
         update=update,
         initial=frozenset(),
@@ -427,9 +427,7 @@ def _read_subset(params, arcs, source):
 # Cost intervals.
 
 
-def interval_space(
-    alpha: Any, beta: Any, arc_intervals: Mapping[ArcKey, Any], name: str = "interval"
-) -> WeightSpace:
+def interval_space(alpha: Any, beta: Any, arc_intervals: Mapping[ArcKey, Any]) -> WeightSpace:
     """Intervals (center, radius) added along arcs.
 
     One interval precedes another when both scalarizations c + alpha*w and
@@ -463,22 +461,15 @@ def interval_space(
     def comparator(u, v):
         if u == v:
             return EQUAL
-        x = phi(a, u) - phi(a, v)
-        y = phi(b, u) - phi(b, v)
-        u_le_v = x <= 0 and y <= 0
-        v_le_u = x >= 0 and y >= 0
-        if u_le_v and not v_le_u:
-            return LESS
-        if v_le_u and not u_le_v:
-            return GREATER
-        return INCOMPARABLE
+        order = _product_order(_scalar_compare(phi(a, u), phi(a, v)), _scalar_compare(phi(b, u), phi(b, v)))
+        return INCOMPARABLE if order is EQUAL else order
 
     def update(wv, arc):
-        c, w = _arc_data(intervals, arc, name)
+        c, w = _arc_data(intervals, arc, "interval")
         return (wv[0] + c, wv[1] + w)
 
     return WeightSpace(
-        name=name,
+        name="interval",
         comparator=comparator,
         update=update,
         initial=(0, 0),
@@ -546,11 +537,7 @@ class TravelTimeTable:
         return _interpolate(self.points, tau)
 
 
-def fifo_time_space(
-    start_time: Any,
-    arc_tables: Mapping[ArcKey, Sequence[Any]],
-    name: str = "fifo_time",
-) -> WeightSpace:
+def fifo_time_space(start_time: Any, arc_tables: Mapping[ArcKey, Sequence[Any]]) -> WeightSpace:
     """Arrival time through FIFO travel-time tables; totally ordered."""
     tau0 = as_fraction(start_time, "weight_space.params.start_time")
     if tau0 < 0:
@@ -560,11 +547,11 @@ def fifo_time_space(
     }
 
     def update(tau: Fraction, arc: Arc) -> Fraction:
-        table = _arc_data(tables, arc, name)
+        table = _arc_data(tables, arc, "fifo_time")
         return tau + table.travel(tau)
 
     return WeightSpace(
-        name=name,
+        name="fifo_time",
         comparator=_scalar_compare,
         update=update,
         initial=tau0,
@@ -585,11 +572,7 @@ def _read_fifo_time(params, arcs, source):
 # Weight-constrained shortest path with replenishment.
 
 
-def wcspr_space(
-    limit: Any,
-    arc_data: Mapping[ArcKey, Any],
-    name: str = "wcspr",
-) -> WeightSpace:
+def wcspr_space(limit: Any, arc_data: Mapping[ArcKey, Any]) -> WeightSpace:
     """(cost, resource) pairs saturating at a limit, with replenishment arcs.
 
     Crossing the limit pins the resource to the limit itself, which marks the
@@ -619,7 +602,7 @@ def wcspr_space(
         data[key] = (w, r, bool(repl))
 
     def update(wv: tuple[Rational, Rational], arc: Arc) -> tuple[Rational, Rational]:
-        w, r, repl = _arc_data(data, arc, name)
+        w, r, repl = _arc_data(data, arc, "wcspr")
         cost, res = wv
         if res + r >= m:
             # Saturation takes precedence over replenishment at equality.
@@ -629,7 +612,7 @@ def wcspr_space(
         return (cost + w, res + r)
 
     return WeightSpace(
-        name=name,
+        name="wcspr",
         comparator=_vector_compare,
         update=update,
         initial=(0, 0),
@@ -694,7 +677,6 @@ def evsp_space(
     road_arcs: Mapping[ArcKey, Any],
     station_curves: Mapping[int, Sequence[Any]],
     epsilon: Any,
-    name: str = "evsp",
 ) -> WeightSpace:
     """(arrival time, state of charge): earlier and fuller is better.
 
@@ -740,14 +722,14 @@ def evsp_space(
             if y == 0:
                 return (t_cur + eps, Fraction(0))
             return (t_cur + eps, curve.charge(y, eps))
-        t, d = _arc_data(roads, arc, name)
+        t, d = _arc_data(roads, arc, "evsp")
         if y == 0:
             return (t_cur + t, Fraction(0))
         new_y = min(Fraction(1), max(Fraction(0), y - d))
         return (t_cur + t, new_y)
 
     return WeightSpace(
-        name=name,
+        name="evsp",
         comparator=comparator,
         update=update,
         initial=(Fraction(0), beta),
@@ -787,7 +769,6 @@ def tourist_space(
     category_count: int,
     arc_lengths: Mapping[ArcKey, Any],
     source: int,
-    name: str = "tourist",
 ) -> WeightSpace:
     """(tour length, best value seen per category), shorter and higher wins.
 
@@ -833,7 +814,7 @@ def tourist_space(
         if wv == sentinel:
             return sentinel
         length, vals = wv
-        new_len = length + _arc_data(lengths, arc, name)
+        new_len = length + _arc_data(lengths, arc, "tourist")
         if new_len > b:
             return sentinel
         head = arc.head
@@ -843,7 +824,7 @@ def tourist_space(
         return (new_len, vals)
 
     return WeightSpace(
-        name=name,
+        name="tourist",
         comparator=comparator,
         update=update,
         initial=initial,
@@ -872,7 +853,102 @@ def _read_tourist(params, arcs, source):
 
 
 # ---------------------------------------------------------------------------
-# Explicit tables (`core.TableWeightSpace`).
+# Explicit tables.
+
+
+def table_space(
+    weights: Sequence[Hashable],
+    strict_pairs: Iterable[tuple[Hashable, Hashable]],
+    updates: Mapping[tuple[Hashable, ArcKey], Hashable],
+    initial: Hashable,
+    defaults: Mapping[ArcKey, Hashable] | None = None,
+    leo_order: Sequence[Hashable] | None = None,
+    relation_kind: str = PARTIAL_ORDER,
+) -> WeightSpace:
+    """Finite weight set with explicit strict-dominance pairs and update tables.
+
+    The strict pairs are closed under transitivity at construction time and
+    checked for antisymmetry (a cycle of strict dominance is rejected).
+    Updates are looked up per (weight, arc) with an optional per-arc default.
+    An optional explicit total order of all weights serves as the linear
+    extension.
+    """
+    weights = tuple(weights)
+    members = set(weights)
+    if len(members) != len(weights):
+        raise ValidationError("duplicate weight names", "weights")
+    above: dict[Hashable, list[Hashable]] = {w: [] for w in weights}
+    for lo, hi in strict_pairs:
+        if lo not in members or hi not in members:
+            raise ValidationError(f"unknown weight in pair ({lo!r}, {hi!r})", "strict_pairs")
+        above[lo].append(hi)
+    # Transitive closure: one depth-first search per weight.  A weight
+    # that reaches itself lies on a cycle of strict dominance.
+    less = set()
+    for w in weights:
+        reached = set()
+        stack = list(above[w])
+        while stack:
+            x = stack.pop()
+            if x not in reached:
+                reached.add(x)
+                stack.extend(above[x])
+        if w in reached:
+            raise ValidationError(f"strict dominance is not antisymmetric around {w!r}", "strict_pairs")
+        less.update((w, x) for x in reached)
+
+    if initial not in members:
+        raise ValidationError(f"initial weight {initial!r} not in weight set", "initial")
+    updates = dict(updates)
+    defaults = dict(defaults or {})
+    for (w, _arc), result in updates.items():
+        if w not in members or result not in members:
+            raise ValidationError(f"update entry {w!r} -> {result!r} uses unknown weight", "updates")
+    for result in defaults.values():
+        if result not in members:
+            raise ValidationError(f"default result {result!r} unknown", "updates")
+
+    leo_key = None
+    if leo_order is not None:
+        if sorted(map(repr, leo_order)) != sorted(map(repr, weights)):
+            raise ValidationError("leo order must list every weight exactly once", "leo")
+        index = {w: i for i, w in enumerate(leo_order)}
+        leo_key = lambda w: (index[w],)  # noqa: E731
+
+    def check_member(w: Hashable) -> None:
+        if w not in members:
+            raise DomainMismatchError(f"{w!r} is not a weight of table space 'table'")
+
+    def comparator(a: Hashable, b: Hashable) -> ComparisonResult:
+        check_member(a)
+        check_member(b)
+        if a == b:
+            return EQUAL
+        if (a, b) in less:
+            return LESS
+        if (b, a) in less:
+            return GREATER
+        return INCOMPARABLE
+
+    def update(w: Hashable, arc: Arc) -> Hashable:
+        check_member(w)
+        entry = updates.get((w, arc.key))
+        if entry is not None:
+            return entry
+        default = defaults.get(arc.key)
+        if default is not None:
+            return default
+        raise MissingUpdateEntryError(f"no update entry for weight {w!r} on arc {arc.key} in table space 'table'")
+
+    return WeightSpace(
+        name="table",
+        comparator=comparator,
+        update=update,
+        initial=initial,
+        leo_key=leo_key,
+        relation_kind=relation_kind,
+        render=lambda w: w,
+    )
 
 
 def _name(value: Any, path: str) -> str:
@@ -915,30 +991,28 @@ def _read_table(params, arcs, source):
             f"expected {PARTIAL_ORDER!r} or {QUASI_TRANSITIVE!r}, got {relation_kind!r}",
             f"{path}.relation_kind",
         )
-    return TableWeightSpace(
-        weights=names,
-        strict_pairs=pairs,
-        updates=updates,
-        initial=initial,
-        defaults=defaults,
+    return table_space(
+        names,
+        pairs,
+        updates,
+        initial,
+        defaults,
         leo_order=None if leo is None else _names(leo, f"{path}.leo"),
         relation_kind=relation_kind,
-    ).as_space()
+    )
 
 
 # ---------------------------------------------------------------------------
 # Product of two spaces.
 
 
-def product_space(first: WeightSpace, second: WeightSpace, name: str | None = None) -> WeightSpace:
+def product_space(first: WeightSpace, second: WeightSpace) -> WeightSpace:
     """Componentwise product: both components must agree to call a weight better.
 
     The linear extension orders by the first component's key, falling back to
     the second's only between structurally equal first components; it exists
     only when both components have one.
     """
-    label = name or f"product({first.name},{second.name})"
-
     def comparator(u, v):
         return _product_order(first.comparator(u[0], v[0]), second.comparator(u[1], v[1]))
 
@@ -955,7 +1029,7 @@ def product_space(first: WeightSpace, second: WeightSpace, name: str | None = No
 
     has_flag = first.infeasible is not None or second.infeasible is not None
     return WeightSpace(
-        name=label,
+        name=f"product({first.name},{second.name})",
         comparator=comparator,
         update=update,
         initial=(first.initial, second.initial),
@@ -974,6 +1048,17 @@ def _read_product(params, arcs, source):
     """Each part is a weight-space document; an arc payload holds the parts'
     payloads in the fields "first" and "second", either of which may be
     left out (as may the whole payload) for a part that reads none."""
+    level, depth = [params], 0
+    while level:
+        depth += 1
+        if depth > MAX_PRODUCT_DEPTH:
+            raise ValidationError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels", "weight_space.params")
+        parts = [p.get(side) for p in level for side in ("first", "second")]
+        level = [
+            d["params"]
+            for d in parts
+            if isinstance(d, dict) and d.get("kind") == "product" and isinstance(d.get("params"), dict)
+        ]
     first_doc = _param(params, "first")
     second_doc = _param(params, "second")
     first_arcs = []
@@ -1036,7 +1121,7 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
 # Worst-case family on the complete digraph with loops.
 
 
-def kn_space(n: int, m: int, source: int, name: str = "kn") -> WeightSpace:
+def kn_space(n: int, m: int, source: int) -> WeightSpace:
     """Index-tuple weights on the complete digraph (loops included).
 
     A path of length below `m` keeps its full vertex-index tuple as its
@@ -1065,7 +1150,7 @@ def kn_space(n: int, m: int, source: int, name: str = "kn") -> WeightSpace:
         return w + (arc.head,)
 
     return WeightSpace(
-        name=name,
+        name="kn",
         comparator=comparator,
         update=update,
         initial=(source,),

@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -178,7 +179,7 @@ def test_complete_digraph_growth_counts():
             expected = sum(n**i for i in range(1, k + 1))
             ok = ok and result.iteration_sizes[k - 1] - 1 == expected
         for v in range(n):
-            labels = result.frontiers[v].labels
+            labels = result.frontiers[v]
             ok = ok and len(labels) == 1
             ok = ok and labels[0].weight == ()
             ok = ok and labels[0].length == m
@@ -352,11 +353,15 @@ def test_label_setting_permanence_assertion():
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
+    env = os.environ.copy()
+    # The child imports the posp these tests import, installed or not.
+    src = str(Path(posp.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "posp", *args],
         capture_output=True,
         text=True,
-        env=os.environ.copy(),
+        env=env,
     )
 
 

@@ -22,12 +22,10 @@ from posp import (
     LESS,
     PARTIAL_ORDER,
     BudgetExceededError,
-    Frontier,
     Label,
     LeoMonotonicityError,
     NoLeoError,
     QUASI_TRANSITIVE,
-    TableWeightSpace,
     WeightSpace,
     build_instance,
     reconstruct_path,
@@ -47,7 +45,7 @@ from posp.algorithms import (
     nondominated_weights,
 )
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
-from posp.weights import bottleneck_space, mosp_space, product_space, tourist_space, wcspr_space
+from posp.weights import bottleneck_space, mosp_space, product_space, table_space, tourist_space, wcspr_space
 
 
 def load_instance(name):
@@ -149,7 +147,7 @@ def two_pass_merge(space, frontier, candidates, mode):
 
 def _table(relation_kind):
     pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("e", "f")]
-    return TableWeightSpace("abcdef", pairs, {}, "a", relation_kind=relation_kind).as_space()
+    return table_space("abcdef", pairs, {}, "a", relation_kind=relation_kind)
 
 
 def _cyclic_compare(a, b):
@@ -296,7 +294,7 @@ def test_kn_frontier_growth_and_collapse(n, m):
     assert result.stats.iterations == m + 1
     for v in range(n):
         assert [l.weight for l in result.frontiers[v]] == [()]
-        assert result.frontiers[v].labels[0].length == m
+        assert result.frontiers[v][0].length == m
 
 
 def test_kn_guard_stops_early_when_asked():
@@ -470,8 +468,7 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
             else:
                 park(cand)
 
-    frontiers = [Frontier(v, permanents[v]) for v in range(n)]
-    return SolveResult(frontiers=frontiers, stats=stats, status=status, mode=mode, algorithm="mda")
+    return SolveResult(frontiers=permanents, stats=stats, status=status)
 
 
 def mda_outcome(solve, inst, mode, drop):
@@ -527,7 +524,7 @@ def strictly_ordered_permanent_instance():
     # The key extracts b at vertex 1 before c at vertex 2, whose arc to 1
     # yields a < b: the later extraction is strictly below a permanent label.
     updates = {("s", (0, 1)): "b", ("s", (0, 2)): "c", ("c", (2, 1)): "a"}
-    space = TableWeightSpace("sbca", [("a", "b")], updates, "s", leo_order="sbca").as_space()
+    space = table_space("sbca", [("a", "b")], updates, "s", leo_order="sbca")
     return build_instance(3, [(0, 1), (0, 2), (2, 1)], 0, space)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib.util
 import json
@@ -14,13 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import posp
 from posp import cli, conditions
 from posp.algorithms import SolveMode, bellman_solve, enumerate_source_paths, mda_solve
 from posp.core import LeoMonotonicityError, reconstruct_path
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
+from posp.weights import MAX_PRODUCT_DEPTH
 
 
 def fixture_file(name: str) -> str:
@@ -31,6 +32,9 @@ def run_cli(
     *args: str, env_extra: dict | None = None, timeout: float | None = None
 ) -> subprocess.CompletedProcess:
     env = os.environ.copy()
+    # The child imports the posp these tests import, installed or not.
+    src = str(Path(posp.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "posp", *args],
@@ -203,11 +207,59 @@ def test_malformed_document_exits_two(case, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err
+    assert captured.out == ""
+
+
+def nested_product_doc(depth):
+    """A one-arc document whose space nests `depth` products in their first parts."""
+    space, payload = {"kind": "mosp", "params": {"dimension": 1}}, [1]
+    for _ in range(depth):
+        second = {"kind": "mosp", "params": {"dimension": 1}}
+        space = {"kind": "product", "params": {"first": space, "second": second}}
+        payload = {"first": payload, "second": [2]}
+    doc = minimal_doc(weight_space=space)
+    doc["graph"]["arcs"][0]["payload"] = payload
+    return doc
+
+
+@pytest.mark.parametrize("depth", [MAX_PRODUCT_DEPTH, MAX_PRODUCT_DEPTH + 1, 450])
+def test_product_nesting_is_bounded(depth, tmp_path, capsys):
+    path = write_doc(tmp_path, nested_product_doc(depth))
+    code = cli.main(["solve", path, "--force"])
+    captured = capsys.readouterr()
+    if depth <= MAX_PRODUCT_DEPTH:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["frontiers"][1]["entries"][0]["length"] == 1
+    else:
+        assert code == 2
+        assert "validation error" in captured.err
+        assert captured.out == ""
+    if depth == MAX_PRODUCT_DEPTH + 1:
+        assert f"products nest deeper than {MAX_PRODUCT_DEPTH} levels" in captured.err
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_max_iterations_below_one_exits_two(value, tmp_path, capsys):
+    doc = fixture_doc("vector_demo.json")
+    doc["max_iterations"] = value
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert cli.main(["solve", fixture_file("vector_demo.json"), "--max-iterations", str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("max_iterations: max_iterations must be at least 1") == 2
+    assert captured.out == ""
+
+
 WRONG_SHAPES = (None, 7, "x", [], {}, [1, 2, 3], [[1, 2], [3]], True)
 
 
 def replaceable_slots(value):
-    """(container, key) for every value nested in a params object or payload."""
+    """(container, key) for every value nested in `value`."""
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):
@@ -222,18 +274,25 @@ def replaceable_slots(value):
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_wrong_shapes_end_in_a_documented_exit_code(name, data, tmp_path_factory):
-    doc = fixture_doc(name)
-    slots = replaceable_slots(doc["weight_space"]["params"])
-    for arc in doc["graph"]["arcs"]:
-        slots.append((arc, "payload"))
-        slots.extend(replaceable_slots(arc.get("payload")))
-    container, key = data.draw(st.sampled_from(slots))
-    container[key] = data.draw(st.sampled_from(WRONG_SHAPES))
-    path = write_doc(tmp_path_factory.mktemp("fuzz"), doc)
-    assert cli.main(["solve", path, "--force"]) in (0, 2, 3, 4, 5)
+def test_wrong_shapes_end_in_a_documented_exit_code(name, tmp_path):
+    # Every slot of the document (top-level fields, the graph, each arc, the
+    # weight space with its params and payloads, an absent payload too) is
+    # in turn deleted and given each wrong shape.
+    base = fixture_doc(name)
+    for arc in base["graph"]["arcs"]:
+        arc.setdefault("payload", None)
+    path = tmp_path / "instance.json"
+    for slot in range(len(replaceable_slots(base))):
+        for shape in ("delete", *WRONG_SHAPES):
+            doc = copy.deepcopy(base)
+            container, key = replaceable_slots(doc)[slot]
+            if shape == "delete":
+                del container[key]
+            else:
+                container[key] = shape
+            path.write_text(json.dumps(doc))
+            code = cli.main(["solve", str(path), "--force"])
+            assert code in (0, 2, 3, 4, 5), (slot, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -946,6 +1005,14 @@ def test_bench_random_cross_checks_the_solvers():
         assert line["bellman"]["status"] == "converged"
         if line["mda"] is not None:
             assert line["agree"] is True
+
+
+def test_bench_rejects_an_unknown_structure(capsys):
+    assert cli.main(["bench", "--suite", "random", "--structures", "mosp,foo"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown structures: foo (available: " in captured.err
+    assert all(s in captured.err for s in MIN_STRUCTURES + MAX_STRUCTURES)
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,15 @@ from posp import (
     DomainMismatchError,
     MissingUpdateEntryError,
     NoLeoError,
-    TableWeightSpace,
     ValidationError,
+    WeightSpace,
     build_instance,
     fold_weight,
     leo_pick,
     reconstruct_path,
 )
 from posp.algorithms import SolveMode, bellman_solve
+from posp.weights import table_space
 
 MAX_EXAMPLES = 150
 
@@ -51,9 +52,9 @@ def test_arc_key():
 # Table weight spaces.
 
 
-def chain_table(k: int, leo: bool = False) -> TableWeightSpace:
+def chain_table(k: int, leo: bool = False) -> WeightSpace:
     names = [str(i) for i in range(k)]
-    return TableWeightSpace(
+    return table_space(
         weights=names,
         strict_pairs=[(names[i], names[i + 1]) for i in range(k - 1)],
         updates={},
@@ -64,32 +65,32 @@ def chain_table(k: int, leo: bool = False) -> TableWeightSpace:
 
 def test_chain_closure():
     t = chain_table(4)
-    assert t.compare("0", "3") is LESS
-    assert t.compare("3", "0") is GREATER
-    assert t.compare("2", "2") is EQUAL
+    assert t.comparator("0", "3") is LESS
+    assert t.comparator("3", "0") is GREATER
+    assert t.comparator("2", "2") is EQUAL
 
 
 def test_cycle_of_strict_pairs_rejected():
     with pytest.raises(ValidationError):
-        TableWeightSpace(["a", "b"], [("a", "b"), ("b", "a")], {}, "a")
+        table_space(["a", "b"], [("a", "b"), ("b", "a")], {}, "a")
     with pytest.raises(ValidationError):
-        TableWeightSpace(
+        table_space(
             ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")], {}, "a"
         )
 
 
 def test_duplicate_weight_names_rejected():
     with pytest.raises(ValidationError):
-        TableWeightSpace(["a", "a"], [], {}, "a")
+        table_space(["a", "a"], [], {}, "a")
 
 
 def test_unknown_weight_in_pair_rejected():
     with pytest.raises(ValidationError):
-        TableWeightSpace(["a"], [("a", "z")], {}, "a")
+        table_space(["a"], [("a", "z")], {}, "a")
 
 
 def test_update_entry_then_default_then_error():
-    t = TableWeightSpace(
+    t = table_space(
         weights=["a", "b", "c"],
         strict_pairs=[("a", "b")],
         updates={("a", (0, 1)): "b"},
@@ -120,7 +121,7 @@ def random_dag_pairs(draw):
 def test_table_closure_matches_matrix_oracle(data):
     names, chosen = data
     k = len(names)
-    t = TableWeightSpace(names, [(names[i], names[j]) for i, j in chosen], {}, names[0])
+    t = table_space(names, [(names[i], names[j]) for i, j in chosen], {}, names[0])
     # Independent reachability closure: boolean matrix, triple loop.
     reach = [[False] * k for _ in range(k)]
     for i, j in chosen:
@@ -132,7 +133,7 @@ def test_table_closure_matches_matrix_oracle(data):
                     reach[i][j] = True
     for i in range(k):
         for j in range(k):
-            got = t.compare(names[i], names[j])
+            got = t.comparator(names[i], names[j])
             if i == j:
                 assert got is EQUAL
             elif reach[i][j]:
@@ -173,21 +174,22 @@ def test_table_closure_equals_the_fixpoint_reference():
         if want is None:
             cyclic += 1
             with pytest.raises(ValidationError):
-                TableWeightSpace(names, pairs, {}, names[0])
+                table_space(names, pairs, {}, names[0])
         else:
-            assert TableWeightSpace(names, pairs, {}, names[0])._less == want
+            t = table_space(names, pairs, {}, names[0])
+            assert {(a, b) for a in names for b in names if t.comparator(a, b) is LESS} == want
     assert 50 < cyclic < 350
 
 
 def test_leo_pick_follows_declared_order():
-    s = chain_table(3, leo=True).as_space()
+    s = chain_table(3, leo=True)
     assert leo_pick(s, "0", "2") == "first"
     assert leo_pick(s, "2", "0") == "second"
     assert leo_pick(s, "1", "1") == "first"
 
 
 def test_leo_pick_without_extension_raises():
-    s = chain_table(3).as_space()
+    s = chain_table(3)
     with pytest.raises(NoLeoError):
         leo_pick(s, "0", "1")
 
@@ -197,31 +199,31 @@ def test_leo_pick_without_extension_raises():
 
 
 def test_parallel_arcs_rejected():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     with pytest.raises(ValidationError):
         build_instance(2, [(0, 1), (0, 1)], 0, s)
 
 
 def test_loop_is_not_a_parallel_arc():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     inst = build_instance(2, [(0, 1), (1, 1)], 0, s)
     assert inst.arc_between(1, 1).key == (1, 1)
 
 
 def test_source_out_of_range_rejected():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     with pytest.raises(ValidationError):
         build_instance(2, [(0, 1)], 5, s)
 
 
 def test_unknown_declared_property_rejected():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     with pytest.raises(ValidationError):
         build_instance(2, [(0, 1)], 0, s, declared=["sorted-by-vibes"])
 
 
 def test_mu_bounded_requires_mu():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     with pytest.raises(ValidationError):
         build_instance(2, [(0, 1)], 0, s, declared=["mu-bounded"])
     inst = build_instance(2, [(0, 1)], 0, s, declared=["mu-bounded"], mu=3)
@@ -229,7 +231,7 @@ def test_mu_bounded_requires_mu():
 
 
 def test_adjacency_caches():
-    s = chain_table(2).as_space()
+    s = chain_table(2)
     inst = build_instance(3, [(0, 1), (1, 2), (0, 2), (2, 2)], 0, s)
     assert [a.key for a in inst.out_arcs(0)] == [(0, 1), (0, 2)]
     assert [a.key for a in inst.in_arcs(2)] == [(1, 2), (0, 2), (2, 2)]

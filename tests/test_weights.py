@@ -32,6 +32,7 @@ from posp.weights import (
     render_rational,
     semilattice_min_space,
     subset_space,
+    table_space,
     tourist_space,
     wcspr_space,
 )
@@ -495,9 +496,7 @@ def test_tourist_longer_but_richer_is_incomparable():
 
 
 def test_product_comparator_agreement_matrix():
-    from posp import TableWeightSpace
-
-    chain = TableWeightSpace(["0", "1", "2"], [("0", "1"), ("1", "2")], {}, "0").as_space()
+    chain = table_space(["0", "1", "2"], [("0", "1"), ("1", "2")], {}, "0")
     s = product_space(chain, chain)
     assert s.comparator(("0", "0"), ("1", "1")) is LESS
     assert s.comparator(("0", "1"), ("0", "1")) is EQUAL

@@ -12,7 +12,8 @@ of labels:
   no permanent label of its vertex dominates becomes permanent.
 
 Both apply one dominance rule, `_scan`: Bellman through `merge`, MDA to
-filter candidates and audit popped labels.
+filter candidates and audit popped labels.  A comparator may carry its own
+kernel for that rule (see `_scan`).
 
 `brute_force_frontier` is the oracle both are tested against: plain DFS path
 enumeration up to a length cap followed by a pairwise dominance filter.  Its
@@ -105,6 +106,12 @@ def _scan(
     first label strictly below `w`, or equal to it unless `keep_equal` is
     set; otherwise the labels strictly above `w`, in order.  Comparisons
     made are added to `stats`.
+
+    A comparator may carry a kernel for this rule as its `scan` attribute,
+    called like `_scan` and returning and counting what `_scan` would; the
+    solvers use it when present.  It belongs to the comparator object, so a
+    view of a space that replaces the comparator runs `_scan` through the
+    replacement.
     """
     beaten = []
     compared = 0
@@ -143,6 +150,7 @@ def merge(
     `WeightSpace` provides.  Comparisons are added to `stats` when given.
     """
     cmp = space.comparator
+    scan = getattr(cmp, "scan", _scan)
     keep_equal = mode is SolveMode.MAX
     if stats is None:
         stats = SolveStats()
@@ -152,7 +160,7 @@ def merge(
         if keep_equal and cand.path_id() in ids:
             beaten = None
         else:
-            beaten = _scan(cmp, result, cand.weight, keep_equal, stats)
+            beaten = scan(cmp, result, cand.weight, keep_equal, stats)
         if beaten is None:
             cand.dead = True
             continue
@@ -191,9 +199,9 @@ def bellman_solve(
 ) -> SolveResult:
     """Label-correcting solve to a fixed point.
 
-    Each round extends labels along the in-arcs of every vertex and merges
-    the candidates into the vertex's frontier; it stops once no frontier
-    changed.  The solve is semi-naive: a round extends only the labels the
+    Each round extends labels along the in-arcs of every vertex that an arc
+    from a vertex with labels to extend reaches, and merges the candidates
+    into the vertex's frontier; it stops once no frontier changed.  The solve is semi-naive: a round extends only the labels the
     previous round inserted (round 1 extends the root).  A label extended
     earlier produced candidates that were merged then, and under a transitive
     order some incumbent still dominates or equals each of them (or, in max
@@ -227,55 +235,52 @@ def bellman_solve(
     frontiers: list[list[Label]] = [[] for _ in range(n)]
     frontiers[instance.source] = [root]
     stats.insertions += 1
-    # Per vertex, the labels the last round inserted, in frontier order.
-    fresh: list[list[Label]] = [list(f) for f in frontiers]
+    # By vertex, the labels the last round inserted, in frontier order.
+    fresh: dict[int, list[Label]] = {instance.source: [root]}
 
+    update = space.update
+    infeasible = space.infeasible if drop_infeasible else None
+    in_arcs, out_arcs = instance.in_arcs, instance.out_arcs
+    size = 1
     iteration_sizes: list[int] = []
     status = CONVERGED
     k = 0
     while True:
         k += 1
-        sources = fresh if semi_naive else frontiers
-        new_frontiers: list[list[Label]] = []
-        new_fresh: list[list[Label]] = []
-        changed = False
-        for v in range(n):
+        sources = fresh if semi_naive else {u: f for u, f in enumerate(frontiers) if f}
+        # Only the heads of arcs leaving a source can receive candidates.
+        # Visiting them in vertex order hands out the serials a visit of
+        # every vertex would.
+        heads = sorted({arc.head for u in sources for arc in out_arcs(u)})
+        fresh = {}
+        for v in heads:
             candidates: list[Label] = []
-            for arc in instance.in_arcs(v):
-                for lab in sources[arc.tail]:
-                    w = space.update(lab.weight, arc)
-                    if drop_infeasible and space.is_infeasible(w):
+            for arc in in_arcs(v):
+                for lab in sources.get(arc.tail, ()):
+                    w = update(lab.weight, arc)
+                    if infeasible is not None and infeasible(w):
                         continue
-                    candidates.append(
-                        Label(
-                            vertex=v,
-                            pred=lab,
-                            arc=arc,
-                            weight=w,
-                            length=lab.length + 1,
-                            serial=next(serials),
-                        )
-                    )
-            stats.merge_operations += 1
-            merged, inserted = frontiers[v], []
-            if candidates:
-                merged = merge(space, frontiers[v], candidates, mode, stats)
-                # Kept candidates sit at the end of `merged`, in candidate order.
-                inserted = [c for c in candidates if not c.dead]
-                if inserted:
-                    changed = True
-                    stats.insertions += len(inserted)
-            new_frontiers.append(merged)
-            new_fresh.append(inserted)
-        frontiers = new_frontiers
-        fresh = new_fresh
-        iteration_sizes.append(sum(len(f) for f in frontiers))
-        if not changed:
+                    candidates.append(Label(v, lab, arc, w, lab.length + 1, next(serials)))
+            if not candidates:
+                continue
+            merged = merge(space, frontiers[v], candidates, mode, stats)
+            size += len(merged) - len(frontiers[v])
+            # `merge` built a new list, so `sources` still holds the old one.
+            frontiers[v] = merged
+            # Kept candidates sit at the end of `merged`, in candidate order.
+            inserted = [c for c in candidates if not c.dead]
+            if inserted:
+                fresh[v] = inserted
+                stats.insertions += len(inserted)
+        iteration_sizes.append(size)
+        if not fresh:
             break
         if k >= guard:
             status = GUARD_HIT
             break
     stats.iterations = k
+    # Every round counts as one merge into every vertex.
+    stats.merge_operations = n * k
 
     return SolveResult(frontiers=frontiers, stats=stats, status=status, iteration_sizes=iteration_sizes)
 
@@ -318,6 +323,7 @@ def mda_solve(
         )
     stats = SolveStats()
     cmp = space.comparator
+    scan = getattr(cmp, "scan", _scan)
     key_of = space.leo_key
     keep_equal = mode is SolveMode.MAX
     guard = iteration_guard(instance)
@@ -328,25 +334,24 @@ def mda_solve(
     heap: list[list] = []
     serials = itertools.count()
 
-    def push(label: Label) -> None:
-        heapq.heappush(heap, [key_of(label.weight), label.vertex, label.serial, label])
-        stats.insertions += 1
-
-    push(
-        Label(
-            vertex=instance.source,
-            pred=None,
-            arc=None,
-            weight=space.initial,
-            length=0,
-            serial=next(serials),
-        )
+    update = space.update
+    infeasible = space.infeasible if drop_infeasible else None
+    out_arcs = instance.out_arcs
+    root = Label(
+        vertex=instance.source,
+        pred=None,
+        arc=None,
+        weight=space.initial,
+        length=0,
+        serial=next(serials),
     )
+    heapq.heappush(heap, [key_of(root.weight), root.vertex, root.serial, root])
+    stats.insertions += 1
 
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        beaten = _scan(cmp, permanents[v], label.weight, keep_equal, stats)
+        beaten = scan(cmp, permanents[v], label.weight, keep_equal, stats)
         if beaten is None:
             label.dead = True
             continue
@@ -382,26 +387,19 @@ def mda_solve(
         permanents[v].append(label)
         stats.extractions += 1
 
-        for arc in instance.out_arcs(v):
+        for arc in out_arcs(v):
             u = arc.head
-            w = space.update(label.weight, arc)
-            if drop_infeasible and space.is_infeasible(w):
+            w = update(label.weight, arc)
+            if infeasible is not None and infeasible(w):
                 continue
-            if _scan(cmp, permanents[u], w, keep_equal, stats) is None:
+            if scan(cmp, permanents[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            push(
-                Label(
-                    vertex=u,
-                    pred=label,
-                    arc=arc,
-                    weight=w,
-                    length=label.length + 1,
-                    serial=next(serials),
-                )
-            )
+            serial = next(serials)
+            heapq.heappush(heap, [key_of(w), u, serial, Label(u, label, arc, w, label.length + 1, serial)])
+            stats.insertions += 1
 
     return SolveResult(frontiers=permanents, stats=stats, status=status)
 

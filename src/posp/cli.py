@@ -68,6 +68,13 @@ FORMAT_VERSION = 1
 # solvers keep per-vertex lists.
 MAX_VERTEX_COUNT = 100_000
 
+# Largest `bench --suite kn-worst-case` run: the labels it predicts,
+# 1 + n + ... + n^(m-1), and the n^2 arcs of its complete digraph.  The
+# label-correcting solve compares every candidate with its vertex's
+# frontier, so its time grows with the square of the label count: n = 2,
+# m = 13 (8,191 labels) takes about 4 s on a 2-core VM.
+MAX_KN_SIZE = 10_000
+
 WEIGHT_SPACE_KINDS = tuple(weights.SPACE_READERS)
 
 
@@ -84,7 +91,8 @@ def _json_default(obj: Any):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, separators=(",", ":"), default=_json_default))
+    # Every emitted document is a fresh tree, so no cycle check is needed.
+    print(json.dumps(doc, separators=(",", ":"), default=_json_default, check_circular=False))
 
 
 def parse_instance(doc: Any) -> Instance:
@@ -101,9 +109,11 @@ def parse_instance(doc: Any) -> Instance:
         raise ValidationError("arcs must be a list", "graph.arcs")
     arc_items = []
     for i, arc in enumerate(arcs_raw):
-        path = f"graph.arcs[{i}]"
-        tail = _as_int(_req(arc, "tail", path), f"{path}.tail")
-        head = _as_int(_req(arc, "head", path), f"{path}.head")
+        tail, head = (arc.get("tail"), arc.get("head")) if type(arc) is dict else (None, None)
+        if type(tail) is not int or type(head) is not int:
+            path = f"graph.arcs[{i}]"
+            tail = _as_int(_req(arc, "tail", path), f"{path}.tail")
+            head = _as_int(_req(arc, "head", path), f"{path}.head")
         arc_items.append(((tail, head), arc.get("payload")))
     source = _as_int(_req(doc, "source", ""), "source")
     ws = _req(doc, "weight_space", "")
@@ -153,25 +163,26 @@ def _load_document(path: str) -> Any:
 
 def _entry_docs(space: WeightSpace, triples: list[tuple[Any, tuple[int, ...], int]]) -> list[dict]:
     """Render (weight, path, length) triples, sorted deterministically."""
-    if space.leo_key is not None:
-        key = lambda t: (space.leo_key(t[0]), t[2], t[1])  # noqa: E731
+    render = space.render or repr
+    infeasible = space.infeasible
+    leo_key = space.leo_key
+    if leo_key is not None:
+        key = lambda t: (leo_key(t[0]), t[2], t[1])  # noqa: E731
     else:
         key = lambda t: (  # noqa: E731
-            json.dumps(space.render_weight(t[0]), sort_keys=True, default=_json_default),
+            json.dumps(render(t[0]), sort_keys=True, default=_json_default),
             t[2],
             t[1],
         )
-    out = []
-    for w, path, length in sorted(triples, key=key):
-        out.append(
-            {
-                "weight": space.render_weight(w),
-                "path": list(path),
-                "length": length,
-                "feasible": not space.is_infeasible(w),
-            }
-        )
-    return out
+    return [
+        {
+            "weight": render(w),
+            "path": list(path),
+            "length": length,
+            "feasible": infeasible is None or not infeasible(w),
+        }
+        for w, path, length in sorted(triples, key=key)
+    ]
 
 
 def _frontier_docs(instance: Instance, result: SolveResult) -> list[dict]:
@@ -387,10 +398,27 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_kn_size(n: int, m: int) -> None:
+    """Reject a kn-worst-case size whose arcs or predicted labels pass MAX_KN_SIZE."""
+    if n < 1 or m < 1:
+        return  # kn_instance names the error
+    if n * n > MAX_KN_SIZE:
+        raise ValidationError(f"--n {n} makes {n * n} arcs; the limit is {MAX_KN_SIZE}")
+    total, term = 0, 1
+    for _ in range(m):
+        total += term
+        if total > MAX_KN_SIZE:
+            raise ValidationError(
+                f"--n {n} --m {m} predicts more than {MAX_KN_SIZE} labels (1 + n + ... + n^(m-1))"
+            )
+        term *= n
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.suite == "kn-worst-case":
         n, m = args.n, args.m
+        _check_kn_size(n, m)
         instance = kn_instance(n, m)
         result = bellman_solve(instance, SolveMode.MIN)
         for idx, total in enumerate(result.iteration_sizes):

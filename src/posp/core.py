@@ -13,7 +13,7 @@ Labels are immutable records linked through predecessor references; a label
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
@@ -26,6 +26,7 @@ class ValidationError(PospError):
     """Malformed input: schema, parameter range, or graph shape."""
 
     def __init__(self, message: str, path: str = ""):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 
@@ -126,10 +127,11 @@ class Arc:
     index: int
     tail: int
     head: int
+    # (tail, head), built once: arc data is looked up by it on every update.
+    key: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.tail, self.head)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.tail, self.head))
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,7 @@ def build_instance(
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Label:
     """One discovered path: a vertex plus a predecessor chain.
 

@@ -42,6 +42,7 @@ Included structures:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -111,6 +112,10 @@ def render_rational(q: Rational) -> int | str:
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
+
+
+def _render_vector(w: Sequence[Rational]) -> list[int | str]:
+    return [x if type(x) is int else render_rational(x) for x in w]
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +196,25 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
+def _int_vector(values: Any, dim: int) -> tuple[int, ...] | None:
+    """`values` as a tuple when it is a list of `dim` plain ints, else None."""
+    if type(values) is list and len(values) == dim and all(type(v) is int for v in values):
+        return tuple(values)
+    return None
+
+
 def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Rational, ...]:
-    return tuple(as_rational(v, path) for v in _sequence(values, dim, dim, path))
+    return _int_vector(values, dim) or tuple(
+        as_rational(v, path) for v in _sequence(values, dim, dim, path)
+    )
+
+
+def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> dict[ArcKey, tuple[Rational, ...]]:
+    """Each arc's vector of `dim` exact numbers; only an error path names the arc."""
+    return {
+        key: _int_vector(values, dim) or _rational_vector(values, dim, f"arc {key}")
+        for key, values in arc_data.items()
+    }
 
 
 def _vector_compare(a: Sequence[Rational], b: Sequence[Rational]) -> ComparisonResult:
@@ -239,28 +261,90 @@ def _arc_data(table: Mapping[ArcKey, Any], arc: Arc, name: str) -> Any:
 # Additive vectors.
 
 
+# Scan kernels for `mosp` pairs and triples: `algorithms._scan` with the
+# componentwise order unrolled.  Each rides on its own comparator object, so
+# a view of the space that replaces the comparator drops it.
+
+
+def _pair_scan(cmp, labels, w, keep_equal, stats):
+    w0, w1 = w
+    beaten = []
+    for i, r in enumerate(labels):
+        r0, r1 = r.weight
+        if r0 <= w0 and r1 <= w1:
+            if keep_equal and r0 == w0 and r1 == w1:
+                continue
+            stats.comparisons += i + 1
+            return None
+        if r0 >= w0 and r1 >= w1:
+            beaten.append(r)
+    stats.comparisons += len(labels)
+    return beaten
+
+
+def _triple_scan(cmp, labels, w, keep_equal, stats):
+    w0, w1, w2 = w
+    beaten = []
+    for i, r in enumerate(labels):
+        r0, r1, r2 = r.weight
+        if r0 <= w0 and r1 <= w1 and r2 <= w2:
+            if keep_equal and r0 == w0 and r1 == w1 and r2 == w2:
+                continue
+            stats.comparisons += i + 1
+            return None
+        if r0 >= w0 and r1 >= w1 and r2 >= w2:
+            beaten.append(r)
+    stats.comparisons += len(labels)
+    return beaten
+
+
+_pair_compare = functools.partial(_vector_compare)
+_pair_compare.scan = _pair_scan
+_triple_compare = functools.partial(_vector_compare)
+_triple_compare.scan = _triple_scan
+
+
 def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> WeightSpace:
     """Cost vectors added along arcs, ordered componentwise (smaller is better).
 
-    The linear extension is the lexicographic order on the vectors.
+    The linear extension is the lexicographic order on the vectors.  Pairs
+    and triples get unrolled kernels for the dominance scan and the update;
+    every other dimension uses `_vector_compare` and `algorithms._scan`.
     """
     if dimension < 1:
         raise ValidationError("dimension must be at least 1", "weight_space.params.dimension")
-    costs = {
-        key: _rational_vector(vec, dimension, f"arc {key}") for key, vec in arc_costs.items()
-    }
+    costs = _arc_vectors(arc_costs, dimension)
 
-    def update(w: tuple[Rational, ...], arc: Arc) -> tuple[Rational, ...]:
-        c = _arc_data(costs, arc, "mosp")
-        return tuple(x + y for x, y in zip(w, c))
+    if dimension == 2:
+        comparator = _pair_compare
+
+        def update(w, arc):
+            c0, c1 = _arc_data(costs, arc, "mosp")
+            w0, w1 = w
+            return (w0 + c0, w1 + c1)
+
+    elif dimension == 3:
+        comparator = _triple_compare
+
+        def update(w, arc):
+            c0, c1, c2 = _arc_data(costs, arc, "mosp")
+            w0, w1, w2 = w
+            return (w0 + c0, w1 + c1, w2 + c2)
+
+    else:
+        comparator = _vector_compare
+
+        def update(w: tuple[Rational, ...], arc: Arc) -> tuple[Rational, ...]:
+            c = _arc_data(costs, arc, "mosp")
+            return tuple(x + y for x, y in zip(w, c))
 
     return WeightSpace(
         name="mosp",
-        comparator=_vector_compare,
+        comparator=comparator,
         update=update,
         initial=(0,) * dimension,
-        leo_key=lambda w: tuple(w),
-        render=lambda w: [render_rational(x) for x in w],
+        leo_key=tuple,
+        render=_render_vector,
     )
 
 
@@ -278,9 +362,7 @@ def semilattice_min_space(
     initial: Sequence[Any],
 ) -> WeightSpace:
     """Componentwise minimum along arcs; larger values are better."""
-    values = {
-        key: _rational_vector(vec, dimension, f"arc {key}") for key, vec in arc_values.items()
-    }
+    values = _arc_vectors(arc_values, dimension)
     start = _rational_vector(initial, dimension, "initial")
 
     def comparator(a, b):
@@ -297,7 +379,7 @@ def semilattice_min_space(
         update=update,
         initial=start,
         leo_key=lambda w: tuple(-x for x in w),
-        render=lambda w: [render_rational(x) for x in w],
+        render=_render_vector,
     )
 
 
@@ -1077,7 +1159,15 @@ def _read_product(params, arcs, source):
 
 
 def _read_part(doc: Any, path: str, arcs: list[ArcItem], source: int) -> WeightSpace:
-    return build_space(_req(doc, "kind", path), doc.get("params", {}), arcs, source)
+    """A product part's space.  The readers name document paths from
+    ``weight_space``; an error inside the part names them from `path`."""
+    kind = _req(doc, "kind", path)
+    try:
+        return build_space(kind, doc.get("params", {}), arcs, source)
+    except ValidationError as exc:
+        if exc.path != "weight_space" and not exc.path.startswith("weight_space."):
+            raise
+        raise ValidationError(exc.message, path + exc.path[len("weight_space") :]) from None
 
 
 # ---------------------------------------------------------------------------

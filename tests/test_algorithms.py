@@ -24,6 +24,7 @@ from posp import (
     BudgetExceededError,
     Label,
     LeoMonotonicityError,
+    MissingUpdateEntryError,
     NoLeoError,
     QUASI_TRANSITIVE,
     WeightSpace,
@@ -36,6 +37,7 @@ from posp.algorithms import (
     SolveMode,
     SolveResult,
     SolveStats,
+    _scan,
     bellman_solve,
     brute_force_frontier,
     enumerate_source_paths,
@@ -45,7 +47,15 @@ from posp.algorithms import (
     nondominated_weights,
 )
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
-from posp.weights import bottleneck_space, mosp_space, product_space, table_space, tourist_space, wcspr_space
+from posp.weights import (
+    _vector_compare,
+    bottleneck_space,
+    mosp_space,
+    product_space,
+    table_space,
+    tourist_space,
+    wcspr_space,
+)
 
 
 def load_instance(name):
@@ -232,6 +242,78 @@ def test_one_pass_merge_equals_the_two_pass_rule(name, mode):
         assert compared <= ref_compared, case
         saved += ref_compared - compared
     assert saved > 0
+
+
+# ---------------------------------------------------------------------------
+# The unrolled `mosp` kernels against the generic code.
+
+
+def _kernel_weight(rng, d):
+    # Small ints and halves, negative ones too, so that equal and ordered
+    # pairs are common; 1 and Fraction(2, 2) are equal weights.
+    return tuple(rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 2))) for _ in range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mosp_scan_kernel_equals_the_reference_scan(d):
+    cmp = mosp_space(d, {}).comparator
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(f"kernel:{d}:{seed}")
+        labels = [Label(0, None, None, _kernel_weight(rng, d), 0, i) for i in range(rng.randint(0, 8))]
+        if labels and rng.random() < 0.3:
+            w = rng.choice(labels).weight
+        else:
+            w = _kernel_weight(rng, d)
+        for keep_equal in (False, True):
+            ref_stats, stats = SolveStats(), SolveStats()
+            ref = _scan(_vector_compare, labels, w, keep_equal, ref_stats)
+            got = cmp.scan(cmp, labels, w, keep_equal, stats)
+            case = (seed, [lab.weight for lab in labels], w, keep_equal)
+            assert got == ref, case  # labels compare by identity, so order counts
+            assert stats.comparisons == ref_stats.comparisons, case
+            outcomes.add("rejected" if ref is None else "evicts" if ref else "kept")
+    assert outcomes == {"rejected", "evicts", "kept"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_mosp_update_adds_and_names_a_missing_arc(d):
+    space = mosp_space(d, {(0, 1): list(range(1, d + 1))})
+    assert space.update(tuple(range(d)), Arc(0, 0, 1)) == tuple(range(1, 2 * d, 2))
+    with pytest.raises(MissingUpdateEntryError, match=r"^mosp: no arc data for \(1, 0\)$"):
+        space.update((0,) * d, Arc(1, 1, 0))
+
+
+def _generic_view(instance, doc):
+    """`instance` with `_vector_compare` and a zip-based update: no kernel."""
+    costs = {(a["tail"], a["head"]): tuple(a["payload"]) for a in doc["graph"]["arcs"]}
+
+    def update(w, arc):
+        return tuple(x + y for x, y in zip(w, costs[arc.key]))
+
+    space = dataclasses.replace(instance.space, comparator=_vector_compare, update=update)
+    return dataclasses.replace(instance, space=space)
+
+
+def _solve_record(result):
+    frontiers = [[(lab.weight, reconstruct_path(lab), lab.serial) for lab in f] for f in result.frontiers]
+    return frontiers, result.status, result.stats.to_dict(), result.iteration_sizes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mosp_kernels_change_no_solve(d):
+    gen = load_perfbench("gen")
+    for seed in range(3):
+        doc = gen.grid_doc(7 - d, d, random.Random(f"kernel-grid:{d}:{seed}"), "grid")
+        inst = posp.parse_instance(doc)
+        generic = _generic_view(inst, doc)
+        for solve in (bellman_solve, mda_solve):
+            for mode in SolveMode:
+                for drop in (False, True):
+                    case = (seed, solve.__name__, mode, drop)
+                    assert _solve_record(solve(inst, mode, drop)) == _solve_record(
+                        solve(generic, mode, drop)
+                    ), case
 
 
 def duality_instances():

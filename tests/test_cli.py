@@ -244,6 +244,35 @@ def test_product_nesting_is_bounded(depth, tmp_path, capsys):
         assert f"products nest deeper than {MAX_PRODUCT_DEPTH} levels" in captured.err
 
 
+@pytest.mark.parametrize(
+    "side, field", [("first", "dimension"), ("second", "ground_set_size")]
+)
+def test_errors_inside_a_product_part_name_the_part(side, field, tmp_path, capsys):
+    doc = fixture_doc("product_demo.json")
+    doc["weight_space"]["params"][side]["params"] = {}
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: weight_space.params.{side}.params.{field}: missing required field\n"
+    )
+
+
+def test_errors_inside_a_nested_product_part_name_the_whole_path(tmp_path, capsys):
+    doc = nested_product_doc(2)
+    doc["weight_space"]["params"]["first"]["params"]["first"]["params"] = {"dimension": "two"}
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: weight_space.params.first.params.first.params.dimension: "
+        "expected an integer, got 'two'\n"
+    )
+    inner = doc["weight_space"]["params"]["first"]["params"]
+    inner["first"]["params"] = {"dimension": 1}
+    inner["second"]["kind"] = "vector"
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: weight_space.params.first.params.second.kind: unknown weight space kind 'vector'"
+    )
+
+
 @pytest.mark.parametrize("value", [0, -5])
 def test_max_iterations_below_one_exits_two(value, tmp_path, capsys):
     doc = fixture_doc("vector_demo.json")
@@ -797,6 +826,34 @@ def test_traced_comparisons_equal_the_solver_counts():
     assert all(r.stats.comparisons > 0 for r in bellman)
     assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons > 0
 
+    # `mosp` pairs and triples scan with a kernel of their comparator.  The
+    # tracer replaces the comparator, so traced solves take the generic scan
+    # through it and every comparison is seen; the counts are the kernel's.
+    gen = load_perfbench("gen")
+    grids = [gen.grid_doc(k, d, random.Random(f"traced:{d}"), f"grid-{d}") for d, k in ((2, 5), (3, 4))]
+    untraced = [(bellman_solve(i), mda_solve(i)) for i in map(cli.parse_instance, grids)]
+    solved, metrics = traced(
+        lambda _tracer: [(cli.bellman_solve(i), cli.mda_solve(i)) for i in map(cli.parse_instance, grids)]
+    )
+    for solver, column in (("bellman", 0), ("mda", 1)):
+        counts = [pair[column].stats.comparisons for pair in solved]
+        assert counts == [pair[column].stats.comparisons for pair in untraced]
+        assert metrics[f"algorithms.{solver}.comparisons"] == sum(counts) > 0
+
+    # `mosp` pairs and triples scan with a kernel of their comparator.  The
+    # tracer replaces the comparator, so traced solves take the generic scan
+    # through it and every comparison is seen; the counts are the kernel's.
+    gen = load_perfbench("gen")
+    grids = [gen.grid_doc(k, d, random.Random(f"traced:{d}"), f"grid-{d}") for d, k in ((2, 5), (3, 4))]
+    untraced = [(bellman_solve(i), mda_solve(i)) for i in map(cli.parse_instance, grids)]
+    solved, metrics = traced(
+        lambda _tracer: [(cli.bellman_solve(i), cli.mda_solve(i)) for i in map(cli.parse_instance, grids)]
+    )
+    for solver, column in (("bellman", 0), ("mda", 1)):
+        counts = [pair[column].stats.comparisons for pair in solved]
+        assert counts == [pair[column].stats.comparisons for pair in untraced]
+        assert metrics[f"algorithms.{solver}.comparisons"] == sum(counts) > 0
+
 
 # ---------------------------------------------------------------------------
 # Integers stay integers: the kinds whose updates never divide keep int data
@@ -992,6 +1049,31 @@ def test_bench_kn_iterations_match_the_prediction():
     assert final["record"] == "final"
     assert final["sizes"] == [1, 1, 1, 1]
     assert "wall_time_s" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "n, m, message",
+    [
+        ("2", "100", f"--n 2 --m 100 predicts more than {cli.MAX_KN_SIZE} labels"),
+        ("1", "1000000000", f"--n 1 --m 1000000000 predicts more than {cli.MAX_KN_SIZE} labels"),
+        ("101", "1", f"--n 101 makes 10201 arcs; the limit is {cli.MAX_KN_SIZE}"),
+    ],
+)
+def test_bench_kn_rejects_sizes_past_the_limit(n, m, message):
+    r = run_cli("bench", "--suite", "kn-worst-case", "--n", n, "--m", m, timeout=60)
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert r.stdout == ""
+
+
+def test_bench_kn_limit_counts_the_predicted_labels():
+    # 1 + 2 + ... + 2^12 = 8191 and 1 + 3 + ... + 3^8 = 9841 fit; one more
+    # round does not.
+    for n, m in ((2, 13), (3, 9), (100, 2), (1, cli.MAX_KN_SIZE)):
+        cli._check_kn_size(n, m)
+    for n, m in ((2, 14), (3, 10), (100, 3), (1, cli.MAX_KN_SIZE + 1)):
+        with pytest.raises(posp.ValidationError, match="predicts more than"):
+            cli._check_kn_size(n, m)
 
 
 def test_bench_random_cross_checks_the_solvers():

@@ -40,6 +40,7 @@ from .core import (
     MU_BOUNDED,
     NoLeoError,
     QUASI_TRANSITIVE,
+    ValidationError,
     WeightSpace,
     reconstruct_path,
 )
@@ -51,15 +52,18 @@ DEFAULT_BUDGET = 500_000
 
 
 def enumeration_budget() -> int:
-    """Node cap for exhaustive enumeration, from POSP_BUDGET when set."""
+    """Node cap for exhaustive enumeration: POSP_BUDGET when set, which must
+    then be a positive integer, else `DEFAULT_BUDGET`."""
     raw = os.environ.get("POSP_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
-    return value if value > 0 else DEFAULT_BUDGET
+        value = 0
+    if value < 1:
+        raise ValidationError(f"expected a positive integer, got {raw!r}", "POSP_BUDGET")
+    return value
 
 
 class SolveMode(Enum):
@@ -201,17 +205,18 @@ def bellman_solve(
 
     Each round extends labels along the in-arcs of every vertex that an arc
     from a vertex with labels to extend reaches, and merges the candidates
-    into the vertex's frontier; it stops once no frontier changed.  The solve is semi-naive: a round extends only the labels the
-    previous round inserted (round 1 extends the root).  A label extended
-    earlier produced candidates that were merged then, and under a transitive
-    order some incumbent still dominates or equals each of them (or, in max
-    mode, still strictly dominates it or already holds its path), so
-    extending it again would only create candidates the merge rejects.  The
-    result is label-for-label the result of re-extending every frontier each
-    round; only the comparison count drops.  That argument needs the
-    declared `relation_kind`: a space whose comparator is not transitive must
-    declare ``antisymmetric-quasi-transitive``, and then every round
-    re-extends every frontier.
+    into the vertex's frontier; it stops once no frontier changed.  The
+    solve is semi-naive: a round extends only the labels the previous round
+    inserted (round 1 extends the root).  A label extended earlier produced
+    candidates that were merged then, and under a transitive order some
+    incumbent still dominates or equals each of them (or, in max mode, still
+    strictly dominates it or already holds its path), so extending it again
+    would only create candidates the merge rejects.  The result is
+    label-for-label the result of re-extending every frontier each round;
+    only the comparison count drops.  That argument needs the declared
+    `relation_kind`: a space whose comparator is not transitive must declare
+    ``antisymmetric-quasi-transitive``, and then every round re-extends every
+    frontier.
 
     The iteration guard is `iteration_guard(instance)`; hitting it
     yields a result with status "iteration-guard-hit" whose frontiers are

@@ -12,9 +12,11 @@ which covers all pairs for such structures.
 
 Every checker reads its paths from a `PathSample`; `posp check` hands one
 sample to all of them, so a document's paths are enumerated once, and a
-checker called without one builds its own.  The arc, cycle and
-linear-extension checks read paths of at most depth - 1 arcs, since they
-extend each path by at least one arc; the others read paths of at most depth.
+checker called without one builds its own.  The arc and linear-extension
+checks read paths of at most depth - 1 arcs and extend each by one arc.  The
+cycle checks extend the same paths by every closed walk at their end, and
+read those extensions from the paths of at most depth arcs, so they walk no
+graph of their own.  The others read paths of at most depth arcs.
 
 The sample also carries `space`, a view of the instance's weight space that
 evaluates each distinct update (weight, arc) and each distinct comparison
@@ -38,11 +40,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .algorithms import (
-    enumerate_source_paths,
-    enumeration_budget,
-    nondominated_weights,
-)
+from .algorithms import enumerate_source_paths, nondominated_weights
 from .core import (
     ARC_INCREASING,
     CYCLE_INCREASING,
@@ -60,7 +58,6 @@ from .core import (
     WELL_POSED,
     WEAKLY_INDEPENDENT,
     WEAKLY_SUBPATH_OPTIMAL,
-    BudgetExceededError,
     Instance,
     ValidationError,
     WeightSpace,
@@ -296,14 +293,23 @@ def check_monotonicity(
 ) -> ConditionReport:
     """Compare a path's weight with its extensions along arcs or cycles.
 
-    `rel` below is compare(W(p), W(p extended)); the arc kinds check a single
-    arc, the cycle kinds a closed walk at the path's head, total length
-    bounded by the depth.
+    `rel` below is compare(W(p), W(p extended)).  The arc kinds extend each
+    representative path of at most depth - 1 arcs by one arc.  The cycle
+    kinds extend it by every closed walk at its head, total length at most
+    the depth: those extensions are sample paths of at most depth arcs.
     """
+    accept = _ARC_KINDS.get(kind) or _CYCLE_KINDS.get(kind)
+    if accept is None:
+        raise ValidationError(f"unknown monotonicity kind {kind!r}")
     sample = paths or PathSample(instance)
     space = sample.space
+
+    def violated(path, w, step, where, w2, rel):
+        weights = [_render(instance, w), _render(instance, w2)]
+        witness = {"path": list(path), step: list(where), "weights": weights, "relation": rel.value}
+        return ConditionReport(kind, VIOLATED, depth, witness)
+
     if kind in _ARC_KINDS:
-        accept = _ARC_KINDS[kind]
         reps = sample.representatives(depth - 1)
         for v in range(instance.vertex_count):
             for path, w in reps[v]:
@@ -311,57 +317,28 @@ def check_monotonicity(
                     w2 = space.update(w, arc)
                     rel = space.comparator(w, w2)
                     if not accept(rel):
-                        return ConditionReport(
-                            name=kind,
-                            verdict=VIOLATED,
-                            depth=depth,
-                            witness={
-                                "path": list(path),
-                                "arc": list(arc.key),
-                                "weights": [_render(instance, w), _render(instance, w2)],
-                                "relation": rel.value,
-                            },
-                        )
+                        return violated(path, w, "arc", arc.key, w2, rel)
         return ConditionReport(kind, HOLDS, depth)
 
-    if kind not in _CYCLE_KINDS:
-        raise ValidationError(f"unknown monotonicity kind {kind!r}")
-    accept = _CYCLE_KINDS[kind]
-    cap = enumeration_budget()
-    nodes = 0
+    # The sample lists paths in depth-first preorder, so the paths extending
+    # `path`, kept to those that end where it does, are the run right after
+    # it in its vertex's list whose paths start with it.  The representatives
+    # keep that order, so one cursor per vertex finds each of them.
+    # Enumerating at `depth` first serves the representatives too.
+    by_vertex = sample.paths(depth)
     reps = sample.representatives(depth - 1)
     for v in range(instance.vertex_count):
+        found, at = by_vertex[v], 0
         for path, w in reps[v]:
-            remaining = depth - (len(path) - 1)
-            if remaining < 1:
-                continue
-            # Closed walks at v of 1..remaining arcs, depth first.
-            stack: list[tuple[tuple[int, ...], Any]] = [((v,), w)]
-            while stack:
-                walk, cur = stack.pop()
-                nodes += 1
-                if nodes > cap:
-                    raise BudgetExceededError(
-                        f"cycle enumeration exceeded the budget of {cap} nodes"
-                    )
-                if len(walk) > 1 and walk[-1] == v:
-                    rel = space.comparator(w, cur)
-                    if not accept(rel):
-                        return ConditionReport(
-                            name=kind,
-                            verdict=VIOLATED,
-                            depth=depth,
-                            witness={
-                                "path": list(path),
-                                "cycle": list(walk),
-                                "weights": [_render(instance, w), _render(instance, cur)],
-                                "relation": rel.value,
-                            },
-                        )
-                if len(walk) - 1 >= remaining:
-                    continue
-                for arc in reversed(instance.out_arcs(walk[-1])):
-                    stack.append((walk + (arc.head,), space.update(cur, arc)))
+            while found[at][0] != path:
+                at += 1
+            k, j = len(path), at + 1
+            while j < len(found) and found[j][0][:k] == path:
+                q, w2 = found[j]
+                rel = space.comparator(w, w2)
+                if not accept(rel):
+                    return violated(path, w, "cycle", q[k - 1 :], w2, rel)
+                j += 1
     return ConditionReport(kind, HOLDS, depth)
 
 

@@ -173,7 +173,7 @@ def _payloads(arcs: Sequence[ArcItem]) -> dict[ArcKey, Any]:
     """Arc payloads by arc key; every arc must carry one."""
     for key, payload in arcs:
         if payload is None:
-            raise ValidationError(f"arc {key} needs a payload for this weight space", "graph.arcs")
+            raise ValidationError("needs a payload for this weight space", f"arc {key}")
     return dict(arcs)
 
 
@@ -403,8 +403,8 @@ def bottleneck_space(
     caps: dict[ArcKey, tuple[Rational, ...]] = {}
     for key, data in arc_costs.items():
         add_part, cap_part = _fields(data, ("additive", "bottleneck"), f"arc {key}")
-        adds[key] = _rational_vector(add_part, additive_dimension, f"arc {key} additive")
-        caps[key] = _rational_vector(cap_part, bottleneck_dimension, f"arc {key} bottleneck")
+        adds[key] = _rational_vector(add_part, additive_dimension, f"arc {key}.additive")
+        caps[key] = _rational_vector(cap_part, bottleneck_dimension, f"arc {key}.bottleneck")
 
     if initial_bottleneck is not None:
         top = _rational_vector(initial_bottleneck, bottleneck_dimension, "initial_bottleneck")
@@ -468,8 +468,7 @@ def subset_space(ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]])
         bad = [e for e in s if e not in ground]
         if bad:
             raise ValidationError(
-                f"arc {key} set contains elements outside 1..{ground_set_size}: {sorted(bad)}",
-                "weight_space.params",
+                f"set contains elements outside 1..{ground_set_size}: {sorted(bad)}", f"arc {key}"
             )
         sets[key] = s
 
@@ -500,8 +499,8 @@ def _read_subset(params, arcs, source):
     sets = {}
     for key, payload in _payloads(arcs).items():
         if not isinstance(payload, list):
-            raise ValidationError(f"arc {key} payload must be an element list", "graph.arcs")
-        sets[key] = [_as_int(e, f"arc {key} element") for e in payload]
+            raise ValidationError("expected a list of elements", f"arc {key}")
+        sets[key] = [_as_int(e, f"arc {key}[{i}]") for i, e in enumerate(payload)]
     return subset_space(ground_set_size, sets)
 
 
@@ -527,14 +526,12 @@ def interval_space(alpha: Any, beta: Any, arc_intervals: Mapping[ArcKey, Any]) -
     intervals: dict[ArcKey, tuple[Rational, Rational]] = {}
     for key, data in arc_intervals.items():
         c_val, w_val = _fields(data, ("c", "w"), f"arc {key}")
-        c = as_rational(c_val, f"arc {key} c")
-        w = as_rational(w_val, f"arc {key} w")
+        c = as_rational(c_val, f"arc {key}.c")
+        w = as_rational(w_val, f"arc {key}.w")
         if w < 0:
-            raise ValidationError(f"arc {key} has negative radius", "weight_space.params")
+            raise ValidationError("radius must be nonnegative", f"arc {key}.w")
         if c < w:
-            raise ValidationError(
-                f"arc {key} needs center >= radius (got c={c}, w={w})", "weight_space.params"
-            )
+            raise ValidationError(f"center must be at least the radius (got c={c}, w={w})", f"arc {key}")
         intervals[key] = (c, w)
 
     def phi(gamma: Rational, v: tuple[Rational, Rational]) -> Rational:
@@ -644,7 +641,7 @@ def fifo_time_space(start_time: Any, arc_tables: Mapping[ArcKey, Sequence[Any]])
 
 def _read_fifo_time(params, arcs, source):
     tables = {
-        key: _unwrap(payload, "breakpoints", f"arc {key} payload")
+        key: _unwrap(payload, "breakpoints", f"arc {key}")
         for key, payload in _payloads(arcs).items()
     }
     return fifo_time_space(params.get("start_time", 0), tables)
@@ -673,14 +670,14 @@ def wcspr_space(limit: Any, arc_data: Mapping[ArcKey, Any]) -> WeightSpace:
     data: dict[ArcKey, tuple[Rational, Rational, bool]] = {}
     for key, entry in arc_data.items():
         w_val, r_val, repl = _fields(entry, ("w", "r", "replenish"), f"arc {key}", (False,))
-        w = as_rational(w_val, f"arc {key} w")
-        r = as_rational(r_val, f"arc {key} r")
+        w = as_rational(w_val, f"arc {key}.w")
+        r = as_rational(r_val, f"arc {key}.r")
         if w < 0 or r < 0:
-            raise ValidationError(f"arc {key} needs nonnegative cost and resource", "weight_space.params")
+            raise ValidationError("cost and resource must be nonnegative", f"arc {key}")
         if r > m:
-            raise ValidationError(f"arc {key} resource {r} exceeds the limit {m}", "weight_space.params")
+            raise ValidationError(f"resource {r} exceeds the limit {m}", f"arc {key}.r")
         if not isinstance(repl, int) or repl not in (0, 1):
-            raise ValidationError(f"arc {key} replenish must be true or false, got {repl!r}", "graph.arcs")
+            raise ValidationError(f"expected true or false, got {repl!r}", f"arc {key}.replenish")
         data[key] = (w, r, bool(repl))
 
     def update(wv: tuple[Rational, Rational], arc: Arc) -> tuple[Rational, Rational]:
@@ -781,10 +778,10 @@ def evsp_space(
     roads: dict[ArcKey, tuple[Fraction, Fraction]] = {}
     for key, entry in road_arcs.items():
         t_val, d_val = _fields(entry, ("time", "delta"), f"arc {key}")
-        t = as_fraction(t_val, f"arc {key} time")
-        d = as_fraction(d_val, f"arc {key} delta")
+        t = as_fraction(t_val, f"arc {key}.time")
+        d = as_fraction(d_val, f"arc {key}.delta")
         if t <= 0:
-            raise ValidationError(f"arc {key} needs positive travel time", "weight_space.params")
+            raise ValidationError("travel time must be positive", f"arc {key}.time")
         roads[key] = (t, d)
     curves = {
         int(v): ChargeCurve(pts, path=f"station {v}") for v, pts in station_curves.items()
@@ -876,7 +873,7 @@ def tourist_space(
     lengths = {key: as_rational(l, f"arc {key}") for key, l in arc_lengths.items()}
     for key, l in lengths.items():
         if l < 0:
-            raise ValidationError(f"arc {key} has negative length", "weight_space.params")
+            raise ValidationError("length must be nonnegative", f"arc {key}")
         if not (0 <= key[1] < n):
             raise ValidationError(f"arc {key} enters a vertex with no value", "weight_space.params")
     if not (0 <= source < n):
@@ -927,7 +924,7 @@ def _read_tourist(params, arcs, source):
         [_as_int(c, "weight_space.params.categories") for c in categories],
         _size_param(params, "category_count"),
         {
-            key: _unwrap(payload, "length", f"arc {key} payload")
+            key: _unwrap(payload, "length", f"arc {key}")
             for key, payload in _payloads(arcs).items()
         },
         source,
@@ -1153,21 +1150,26 @@ def _read_product(params, arcs, source):
         )
         first_arcs.append((key, a))
         second_arcs.append((key, b))
-    first = _read_part(first_doc, "weight_space.params.first", first_arcs, source)
-    second = _read_part(second_doc, "weight_space.params.second", second_arcs, source)
+    first = _read_part(first_doc, "first", first_arcs, source)
+    second = _read_part(second_doc, "second", second_arcs, source)
     return product_space(first, second)
 
 
-def _read_part(doc: Any, path: str, arcs: list[ArcItem], source: int) -> WeightSpace:
-    """A product part's space.  The readers name document paths from
-    ``weight_space``; an error inside the part names them from `path`."""
+def _read_part(doc: Any, side: str, arcs: list[ArcItem], source: int) -> WeightSpace:
+    """The product part `side`.  `build_space` names document paths from
+    ``weight_space`` and ``graph.arcs[i].payload``; an error inside the part
+    names them from the part's document and its field of the payload."""
+    path = f"weight_space.params.{side}"
     kind = _req(doc, "kind", path)
     try:
         return build_space(kind, doc.get("params", {}), arcs, source)
     except ValidationError as exc:
-        if exc.path != "weight_space" and not exc.path.startswith("weight_space."):
-            raise
-        raise ValidationError(exc.message, path + exc.path[len("weight_space") :]) from None
+        where = exc.path
+        if where == "weight_space" or where.startswith("weight_space."):
+            where = path + where[len("weight_space") :]
+        elif where.startswith("graph.arcs["):
+            where = where.replace(".payload", f".payload.{side}", 1)
+        raise ValidationError(exc.message, where) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1195,9 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
 
     `params` is its ``params`` object and `arc_items` holds one
     ((tail, head), payload) pair per arc, with payload None where the arc
-    has none.  Malformed input raises ValidationError.
+    has none.  Malformed input raises ValidationError.  The readers name an
+    arc's payload ``arc (tail, head)``; the error names it by its place in
+    the document, ``graph.arcs[i].payload``.
     """
     reader = SPACE_READERS.get(kind) if isinstance(kind, str) else None
     if reader is None:
@@ -1204,7 +1208,14 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
     params = params or {}
     if not isinstance(params, dict):
         raise ValidationError("expected an object", "weight_space.params")
-    return reader(params, arc_items, source)
+    try:
+        return reader(params, arc_items, source)
+    except ValidationError as exc:
+        arc, close, rest = exc.path.partition(")")
+        index = {f"arc {key}": i for i, (key, _payload) in enumerate(arc_items)}.get(arc + close)
+        if index is None:
+            raise
+        raise ValidationError(exc.message, f"graph.arcs[{index}].payload{rest}") from None
 
 
 # ---------------------------------------------------------------------------

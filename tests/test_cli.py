@@ -273,6 +273,65 @@ def test_errors_inside_a_nested_product_part_name_the_whole_path(tmp_path, capsy
     )
 
 
+# (fixture, arc index, payload, the error's path and message)
+PAYLOAD_RANGE_ERRORS = [
+    ("interval_demo.json", 0, {"c": 1, "w": -1}, "graph.arcs[0].payload.w: radius must be nonnegative"),
+    (
+        "interval_demo.json",
+        3,
+        {"c": 1, "w": 2},
+        "graph.arcs[3].payload: center must be at least the radius (got c=1, w=2)",
+    ),
+    ("wcspr_demo.json", 2, {"w": -1, "r": 1}, "graph.arcs[2].payload: cost and resource must be nonnegative"),
+    ("wcspr_demo.json", 0, {"w": 1, "r": -1}, "graph.arcs[0].payload: cost and resource must be nonnegative"),
+    ("wcspr_demo.json", 5, {"w": 1, "r": 11}, "graph.arcs[5].payload.r: resource 11 exceeds the limit 10"),
+    ("tourist_demo.json", 1, {"length": -2}, "graph.arcs[1].payload: length must be nonnegative"),
+    ("subset_catchup.json", 4, [1, 9], "graph.arcs[4].payload: set contains elements outside 1..3: [9]"),
+    # Arc 1 is a station loop without a payload; arc 3 is still the fourth.
+    ("evsp_demo.json", 3, {"time": 0, "delta": 0}, "graph.arcs[3].payload.time: travel time must be positive"),
+]
+
+
+@pytest.mark.parametrize("fixture, index, payload, error", PAYLOAD_RANGE_ERRORS)
+def test_payload_range_errors_name_the_arc_payload(fixture, index, payload, error, tmp_path, capsys):
+    doc = fixture_doc(fixture)
+    doc["graph"]["arcs"][index]["payload"] = payload
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {error}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "index, side, value, error",
+    [
+        (0, "first", [1, 2], "graph.arcs[0].payload.first: expected a list of 1 values"),
+        (2, "second", [3], "graph.arcs[2].payload.second: set contains elements outside 1..2: [3]"),
+        (1, "second", None, "graph.arcs[1].payload.second: needs a payload for this weight space"),
+    ],
+)
+def test_payload_errors_inside_a_product_part_name_the_part(index, side, value, error, tmp_path, capsys):
+    doc = fixture_doc("product_demo.json")
+    doc["graph"]["arcs"][index]["payload"][side] = value
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"validation error: {error}\n"
+
+
+def test_payload_errors_inside_a_nested_product_part_name_the_whole_path(tmp_path, capsys):
+    doc = nested_product_doc(3)
+    doc["graph"]["arcs"][0]["payload"]["first"]["first"]["second"] = ["two"]
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "validation error: graph.arcs[0].payload.first.first.second: cannot parse rational 'two'"
+    )
+    doc["graph"]["arcs"][0]["payload"]["first"]["first"]["second"] = [2]
+    doc["graph"]["arcs"][0]["payload"]["first"]["second"] = {"x": 1}
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: graph.arcs[0].payload.first.second: expected a list of 1 values\n"
+    )
+
+
 @pytest.mark.parametrize("value", [0, -5])
 def test_max_iterations_below_one_exits_two(value, tmp_path, capsys):
     doc = fixture_doc("vector_demo.json")
@@ -711,7 +770,11 @@ CHECKERS = (
 
 @pytest.mark.parametrize(
     "selection, checkers",
-    [([], CHECKERS), (["--conditions", "arc-increasing"], ("check_monotonicity",))],
+    [
+        ([], CHECKERS),
+        (["--conditions", "arc-increasing"], ("check_monotonicity",)),
+        (["--conditions", "cycle-non-decreasing"], ("check_monotonicity",)),
+    ],
 )
 def test_traced_check_enumerates_once(selection, checkers, capsys):
     # The benchmark's tracer wraps these names; each must still exist.
@@ -1007,6 +1070,32 @@ def test_oracle_budget_exhaustion_exits_two(tmp_path):
     r = run_cli("oracle", path, "--max-len", "8", env_extra={"POSP_BUDGET": "3"})
     assert r.returncode == 2
     assert "budget" in r.stderr.lower()
+
+
+@pytest.mark.parametrize("value", ["1e6", "abc", "0", "-5", ""])
+def test_malformed_budget_exits_two(value):
+    for command in ("oracle", "check"):
+        r = run_cli(command, fixture_file("vector_demo.json"), env_extra={"POSP_BUDGET": value})
+        assert r.returncode == 2
+        assert r.stderr == f"validation error: POSP_BUDGET: expected a positive integer, got {value!r}\n"
+        assert r.stdout == ""
+
+
+@pytest.mark.parametrize("budget, code", [("12", 2), ("13", 0), ("20", 0)])
+def test_cycle_conditions_count_against_the_one_enumeration(budget, code, monkeypatch, capsys):
+    # The sample holds 13 paths of at most 6 arcs; the cycle kinds walk no
+    # further graph of their own, so nothing else counts against the budget.
+    monkeypatch.setenv("POSP_BUDGET", budget)
+    argv = ["check", fixture_file("nonsimple_witness.json"), "--conditions", "cycle-non-decreasing"]
+    assert cli.main([*argv, "--depth", "6"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (
+            "budget exceeded: path enumeration exceeded the budget of 12 nodes "
+            "(set POSP_BUDGET to raise it)\n"
+        )
+    else:
+        assert err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from posp import (
     permitted_algorithms,
     recommend_algorithm,
 )
+from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
 
 
 def load_instance(name):
@@ -303,6 +304,63 @@ def test_linear_extension_audit_equals_the_cubic_reference():
         "arc-monotonicity",
         "holds-to-depth",
     }
+
+
+def closed_walk_monotonicity(instance, depth, kind):
+    """Reference for the cycle kinds of `check_monotonicity`: a depth-first
+    search of closed walks at each representative path's head."""
+    accept = conditions._CYCLE_KINDS[kind]
+    space = instance.space
+    render = space.render_weight
+    reps = conditions.PathSample(instance).representatives(depth - 1)
+    for v in range(instance.vertex_count):
+        for path, w in reps[v]:
+            remaining = depth - (len(path) - 1)
+            if remaining < 1:
+                continue
+            stack = [((v,), w)]
+            while stack:
+                walk, cur = stack.pop()
+                if len(walk) > 1 and walk[-1] == v:
+                    rel = space.comparator(w, cur)
+                    if not accept(rel):
+                        witness = {
+                            "path": list(path),
+                            "cycle": list(walk),
+                            "weights": [render(w), render(cur)],
+                            "relation": rel.value,
+                        }
+                        return conditions.ConditionReport(kind, "violated", depth, witness)
+                if len(walk) - 1 >= remaining:
+                    continue
+                for arc in reversed(instance.out_arcs(walk[-1])):
+                    stack.append((walk + (arc.head,), space.update(cur, arc)))
+    return conditions.ConditionReport(kind, "holds-to-depth", depth)
+
+
+def test_cycle_kinds_equal_the_closed_walk_reference():
+    fixtures = sorted(p.name for p in posp.fixture_path("").iterdir() if p.name.endswith(".json"))
+    assert len(fixtures) == 12
+    instances = [load_instance(name) for name in fixtures] + [
+        random_instance(structure, seed)
+        for structure in MIN_STRUCTURES + MAX_STRUCTURES
+        for seed in range(40)
+    ]
+    seen = set()
+    for inst in instances:
+        for depth in range(8):
+            for kind in conditions._CYCLE_KINDS:
+                want = closed_walk_monotonicity(inst, depth, kind).to_dict()
+                assert check_monotonicity(inst, depth, kind).to_dict() == want, (inst.name, depth, kind)
+                seen.add((kind, want["verdict"]))
+    assert len(seen) == 6
+    # One sample serves all three kinds and every depth below its own.
+    sample = conditions.PathSample(instances[0])
+    for depth in range(7, -1, -1):
+        for kind in conditions._CYCLE_KINDS:
+            got = check_monotonicity(instances[0], depth, kind, paths=sample).to_dict()
+            assert got == closed_walk_monotonicity(instances[0], depth, kind).to_dict()
+    assert sample.depth == 7
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,16 @@ by the field names or as a list or tuple of the values in order.
 
 Each kind an instance document may name has a reader next to its
 constructor that takes the document's ``weight_space.params`` and arc
-payloads; `build_space` dispatches on the kind.
+payloads; `build_space` dispatches on the kind.  A constructor or reader
+names the place of an error relative to its own arguments (``alpha``,
+``values[1]``, ``arc (0, 1).w``, or no path for the arguments as a whole);
+`build_space` alone turns that into a path in the document.
 
 Included structures:
 
 - `mosp_space` — additive cost vectors under the componentwise order.
 - `bottleneck_space` — an additive block paired with a pairwise-min block
   where larger bottleneck values are better.
-- `semilattice_min_space` — the bottleneck block alone (used for the product
-  equivalence tests).
 - `subset_space` — label sets under inclusion, accumulated by union.
 - `interval_space` — cost intervals (center, radius) compared through two
   scalarizations.
@@ -164,9 +165,11 @@ def _fields(data: Any, names: Sequence[str], path: str, defaults: Sequence[Any] 
     return values + tuple(defaults[len(values) - need :])
 
 
-def _unwrap(payload: Any, name: str, path: str) -> Any:
-    """A payload given bare or as the one field `name` of an object."""
-    return _req(payload, name, path) if isinstance(payload, dict) else payload
+def _unwrap(payload: Any, name: str, path: str) -> tuple[Any, str]:
+    """A payload given bare or as the one field `name` of an object, with its path."""
+    if isinstance(payload, dict):
+        return _req(payload, name, path), f"{path}.{name}"
+    return payload, path
 
 
 def _payloads(arcs: Sequence[ArcItem]) -> dict[ArcKey, Any]:
@@ -178,16 +181,16 @@ def _payloads(arcs: Sequence[ArcItem]) -> dict[ArcKey, Any]:
 
 
 def _param(params: Mapping[str, Any], name: str) -> Any:
-    return _req(params, name, "weight_space.params")
+    return _req(params, name, "")
 
 
 def _int_param(params: Mapping[str, Any], name: str) -> int:
-    return _as_int(_param(params, name), f"weight_space.params.{name}")
+    return _as_int(_param(params, name), name)
 
 
 def _size_param(params: Mapping[str, Any], name: str) -> int:
     """A vector length or category count: every weight holds that many components."""
-    return _bounded_int(_param(params, name), f"weight_space.params.{name}", MAX_COMPONENTS)
+    return _bounded_int(_param(params, name), name, MAX_COMPONENTS)
 
 
 def _list(value: Any, path: str) -> list:
@@ -312,7 +315,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
     every other dimension uses `_vector_compare` and `algorithms._scan`.
     """
     if dimension < 1:
-        raise ValidationError("dimension must be at least 1", "weight_space.params.dimension")
+        raise ValidationError("dimension must be at least 1", "dimension")
     costs = _arc_vectors(arc_costs, dimension)
 
     if dimension == 2:
@@ -353,34 +356,7 @@ def _read_mosp(params, arcs, source):
 
 
 # ---------------------------------------------------------------------------
-# Bottleneck / min-semilattice.
-
-
-def semilattice_min_space(
-    dimension: int,
-    arc_values: Mapping[ArcKey, Sequence[Any]],
-    initial: Sequence[Any],
-) -> WeightSpace:
-    """Componentwise minimum along arcs; larger values are better."""
-    values = _arc_vectors(arc_values, dimension)
-    start = _rational_vector(initial, dimension, "initial")
-
-    def comparator(a, b):
-        # Better means componentwise larger, so flip the vector order.
-        return _vector_compare(a, b).flipped()
-
-    def update(w, arc):
-        v = _arc_data(values, arc, "min-semilattice")
-        return tuple(min(x, y) for x, y in zip(w, v))
-
-    return WeightSpace(
-        name="min-semilattice",
-        comparator=comparator,
-        update=update,
-        initial=start,
-        leo_key=lambda w: tuple(-x for x in w),
-        render=_render_vector,
-    )
+# Bottleneck: additive costs next to pairwise-minimum capacities.
 
 
 def bottleneck_space(
@@ -399,6 +375,10 @@ def bottleneck_space(
     Args:
         arc_costs: per arc, the fields "additive" and "bottleneck" (vectors).
     """
+    if additive_dimension < 0:
+        raise ValidationError("dimension must be nonnegative", "additive_dimension")
+    if bottleneck_dimension < 0:
+        raise ValidationError("dimension must be nonnegative", "bottleneck_dimension")
     adds: dict[ArcKey, tuple[Rational, ...]] = {}
     caps: dict[ArcKey, tuple[Rational, ...]] = {}
     for key, data in arc_costs.items():
@@ -460,7 +440,7 @@ def subset_space(ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]])
     element of the symmetric difference).
     """
     if ground_set_size < 0:
-        raise ValidationError("ground set size must be nonnegative", "weight_space.params")
+        raise ValidationError("ground set size must be nonnegative", "ground_set_size")
     ground = range(1, ground_set_size + 1)
     sets: dict[ArcKey, frozenset[int]] = {}
     for key, elems in arc_sets.items():
@@ -517,12 +497,10 @@ def interval_space(alpha: Any, beta: Any, arc_intervals: Mapping[ArcKey, Any]) -
     incomparable so that the comparator stays antisymmetric.  The linear
     extension orders by (c + alpha*w, c + beta*w, c, w) lexicographically.
     """
-    a = as_rational(alpha, "weight_space.params.alpha")
-    b = as_rational(beta, "weight_space.params.beta")
+    a = as_rational(alpha, "alpha")
+    b = as_rational(beta, "beta")
     if not (-1 <= a <= b <= 1):
-        raise ValidationError(
-            f"need -1 <= alpha <= beta <= 1, got alpha={a}, beta={b}", "weight_space.params"
-        )
+        raise ValidationError(f"need -1 <= alpha <= beta <= 1, got alpha={a}, beta={b}")
     intervals: dict[ArcKey, tuple[Rational, Rational]] = {}
     for key, data in arc_intervals.items():
         c_val, w_val = _fields(data, ("c", "w"), f"arc {key}")
@@ -617,12 +595,18 @@ class TravelTimeTable:
 
 
 def fifo_time_space(start_time: Any, arc_tables: Mapping[ArcKey, Sequence[Any]]) -> WeightSpace:
-    """Arrival time through FIFO travel-time tables; totally ordered."""
-    tau0 = as_fraction(start_time, "weight_space.params.start_time")
+    """Arrival time through FIFO travel-time tables; totally ordered.
+
+    Args:
+        arc_tables: per arc, the `TravelTimeTable` breakpoints, bare or as
+            the one field "breakpoints" of a dict.
+    """
+    tau0 = as_fraction(start_time, "start_time")
     if tau0 < 0:
-        raise ValidationError("start time must be nonnegative", "weight_space.params.start_time")
+        raise ValidationError("start time must be nonnegative", "start_time")
     tables = {
-        key: TravelTimeTable(bps, path=f"arc {key}") for key, bps in arc_tables.items()
+        key: TravelTimeTable(*_unwrap(data, "breakpoints", f"arc {key}"))
+        for key, data in arc_tables.items()
     }
 
     def update(tau: Fraction, arc: Arc) -> Fraction:
@@ -640,11 +624,7 @@ def fifo_time_space(start_time: Any, arc_tables: Mapping[ArcKey, Sequence[Any]])
 
 
 def _read_fifo_time(params, arcs, source):
-    tables = {
-        key: _unwrap(payload, "breakpoints", f"arc {key}")
-        for key, payload in _payloads(arcs).items()
-    }
-    return fifo_time_space(params.get("start_time", 0), tables)
+    return fifo_time_space(params.get("start_time", 0), _payloads(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +644,9 @@ def wcspr_space(limit: Any, arc_data: Mapping[ArcKey, Any]) -> WeightSpace:
         arc_data: per arc, the fields "w" (cost), "r" (resource) and
             optionally "replenish" (true/false or 1/0, false when left out).
     """
-    m = as_rational(limit, "weight_space.params.limit")
+    m = as_rational(limit, "limit")
     if m <= 0:
-        raise ValidationError("resource limit must be positive", "weight_space.params.limit")
+        raise ValidationError("resource limit must be positive", "limit")
     data: dict[ArcKey, tuple[Rational, Rational, bool]] = {}
     for key, entry in arc_data.items():
         w_val, r_val, repl = _fields(entry, ("w", "r", "replenish"), f"arc {key}", (False,))
@@ -769,12 +749,12 @@ def evsp_space(
             (charge consumption).
         station_curves: per station vertex, the sampled charging curve.
     """
-    beta = as_fraction(initial_soc, "weight_space.params.initial_soc")
+    beta = as_fraction(initial_soc, "initial_soc")
     if not (0 <= beta <= 1):
-        raise ValidationError("initial state of charge must lie in [0, 1]", "weight_space.params")
-    eps = as_fraction(epsilon, "weight_space.params.epsilon")
+        raise ValidationError("initial state of charge must lie in [0, 1]", "initial_soc")
+    eps = as_fraction(epsilon, "epsilon")
     if eps <= 0:
-        raise ValidationError("epsilon must be positive", "weight_space.params.epsilon")
+        raise ValidationError("epsilon must be positive", "epsilon")
     roads: dict[ArcKey, tuple[Fraction, Fraction]] = {}
     for key, entry in road_arcs.items():
         t_val, d_val = _fields(entry, ("time", "delta"), f"arc {key}")
@@ -784,11 +764,11 @@ def evsp_space(
             raise ValidationError("travel time must be positive", f"arc {key}.time")
         roads[key] = (t, d)
     curves = {
-        int(v): ChargeCurve(pts, path=f"station {v}") for v, pts in station_curves.items()
+        int(v): ChargeCurve(pts, path=f"stations.{v}") for v, pts in station_curves.items()
     }
     for v in curves:
         if (v, v) in roads:
-            raise ValidationError(f"vertex {v} has both a road loop and a station", "weight_space.params")
+            raise ValidationError(f"vertex {v} has both a road loop and a station", f"stations.{v}")
 
     def comparator(u, v):
         # A higher state of charge is better, so its arguments swap.
@@ -823,15 +803,13 @@ def _read_evsp(params, arcs, source):
     epsilon = _param(params, "epsilon")
     stations = params.get("stations", {})
     if not isinstance(stations, dict):
-        raise ValidationError("stations must map vertex to curve", "weight_space.params.stations")
+        raise ValidationError("stations must map vertex to curve", "stations")
     curves = {}
     for v, curve in stations.items():
         try:
             curves[int(v)] = curve
         except (TypeError, ValueError):
-            raise ValidationError(
-                f"station key {v!r} is not a vertex", "weight_space.params.stations"
-            ) from None
+            raise ValidationError(f"station key {v!r} is not a vertex", "stations") from None
     # A loop at a station charges along the station's curve and needs no payload.
     roads = [(key, payload) for key, payload in arcs if not (key[0] == key[1] and key[0] in curves)]
     return evsp_space(initial_soc, _payloads(roads), curves, epsilon)
@@ -854,15 +832,19 @@ def tourist_space(
     Once the accumulated length exceeds the budget the weight collapses to a
     single sentinel (budget + 1, zero vector), so any frontier carries at most
     one over-budget label and every feasible weight dominates it.
+
+    Args:
+        arc_lengths: per arc, its length, bare or as the one field "length"
+            of a dict.
     """
-    b = as_rational(budget, "weight_space.params.budget")
+    b = as_rational(budget, "budget")
     if b < 0:
-        raise ValidationError("budget must be nonnegative", "weight_space.params.budget")
+        raise ValidationError("budget must be nonnegative", "budget")
     if category_count < 1:
-        raise ValidationError("need at least one category", "weight_space.params.category_count")
+        raise ValidationError("need at least one category", "category_count")
     n = len(vertex_values)
     if len(vertex_categories) != n:
-        raise ValidationError("values and categories must have one entry per vertex", "weight_space.params")
+        raise ValidationError("values and categories must have one entry per vertex")
     values = [as_rational(v, f"values[{i}]") for i, v in enumerate(vertex_values)]
     cats = list(vertex_categories)
     for i, c in enumerate(cats):
@@ -870,14 +852,17 @@ def tourist_space(
             raise ValidationError(f"category {c} out of range", f"categories[{i}]")
         if values[i] < 0:
             raise ValidationError("vertex values must be nonnegative", f"values[{i}]")
-    lengths = {key: as_rational(l, f"arc {key}") for key, l in arc_lengths.items()}
+    lengths = {
+        key: as_rational(*_unwrap(data, "length", f"arc {key}"))
+        for key, data in arc_lengths.items()
+    }
     for key, l in lengths.items():
         if l < 0:
             raise ValidationError("length must be nonnegative", f"arc {key}")
         if not (0 <= key[1] < n):
-            raise ValidationError(f"arc {key} enters a vertex with no value", "weight_space.params")
+            raise ValidationError(f"arc {key} enters a vertex with no value")
     if not (0 <= source < n):
-        raise ValidationError("source out of range", "weight_space.params")
+        raise ValidationError("source out of range")
 
     zero_values = (0,) * category_count
     sentinel = (b + 1, zero_values)
@@ -917,16 +902,13 @@ def tourist_space(
 
 
 def _read_tourist(params, arcs, source):
-    categories = _list(_param(params, "categories"), "weight_space.params.categories")
+    categories = _list(_param(params, "categories"), "categories")
     return tourist_space(
         _param(params, "budget"),
-        _list(_param(params, "values"), "weight_space.params.values"),
-        [_as_int(c, "weight_space.params.categories") for c in categories],
+        _list(_param(params, "values"), "values"),
+        [_as_int(c, "categories") for c in categories],
         _size_param(params, "category_count"),
-        {
-            key: _unwrap(payload, "length", f"arc {key}")
-            for key, payload in _payloads(arcs).items()
-        },
+        _payloads(arcs),
         source,
     )
 
@@ -1043,18 +1025,17 @@ def _names(value: Any, path: str) -> list[str]:
 
 
 def _read_table(params, arcs, source):
-    path = "weight_space.params"
-    names = _names(_param(params, "weights"), f"{path}.weights")
+    names = _names(_param(params, "weights"), "weights")
     pairs = [
-        _sequence(pair, 2, 2, f"{path}.strict_pairs[{i}]")
-        for i, pair in enumerate(_list(params.get("strict_pairs", []), f"{path}.strict_pairs"))
+        _sequence(pair, 2, 2, f"strict_pairs[{i}]")
+        for i, pair in enumerate(_list(params.get("strict_pairs", []), "strict_pairs"))
     ]
-    _names([w for pair in pairs for w in pair], f"{path}.strict_pairs")
-    initial = _name(_param(params, "initial"), f"{path}.initial")
+    _names([w for pair in pairs for w in pair], "strict_pairs")
+    initial = _name(_param(params, "initial"), "initial")
     updates = {}
     defaults = {}
-    for i, entry in enumerate(_list(params.get("updates", []), f"{path}.updates")):
-        entry_path = f"{path}.updates[{i}]"
+    for i, entry in enumerate(_list(params.get("updates", []), "updates")):
+        entry_path = f"updates[{i}]"
         tail = _as_int(_req(entry, "tail", entry_path), f"{entry_path}.tail")
         head = _as_int(_req(entry, "head", entry_path), f"{entry_path}.head")
         entries = entry.get("entries") or {}
@@ -1068,7 +1049,7 @@ def _read_table(params, arcs, source):
     if relation_kind not in (PARTIAL_ORDER, QUASI_TRANSITIVE):
         raise ValidationError(
             f"expected {PARTIAL_ORDER!r} or {QUASI_TRANSITIVE!r}, got {relation_kind!r}",
-            f"{path}.relation_kind",
+            "relation_kind",
         )
     return table_space(
         names,
@@ -1076,7 +1057,7 @@ def _read_table(params, arcs, source):
         updates,
         initial,
         defaults,
-        leo_order=None if leo is None else _names(leo, f"{path}.leo"),
+        leo_order=None if leo is None else _names(leo, "leo"),
         relation_kind=relation_kind,
     )
 
@@ -1131,7 +1112,7 @@ def _read_product(params, arcs, source):
     while level:
         depth += 1
         if depth > MAX_PRODUCT_DEPTH:
-            raise ValidationError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels", "weight_space.params")
+            raise ValidationError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels")
         parts = [p.get(side) for p in level for side in ("first", "second")]
         level = [
             d["params"]
@@ -1156,19 +1137,19 @@ def _read_product(params, arcs, source):
 
 
 def _read_part(doc: Any, side: str, arcs: list[ArcItem], source: int) -> WeightSpace:
-    """The product part `side`.  `build_space` names document paths from
-    ``weight_space`` and ``graph.arcs[i].payload``; an error inside the part
-    names them from the part's document and its field of the payload."""
-    path = f"weight_space.params.{side}"
-    kind = _req(doc, "kind", path)
+    """The product part `side`: a weight-space document of its own, whose
+    arcs carry the field `side` of each payload.  Its `build_space` names
+    the paths of an error as if the part were the whole weight space; the
+    side goes in front of them, after ``payload`` on a payload's path."""
+    kind = _req(doc, "kind", side)
     try:
         return build_space(kind, doc.get("params", {}), arcs, source)
     except ValidationError as exc:
         where = exc.path
-        if where == "weight_space" or where.startswith("weight_space."):
-            where = path + where[len("weight_space") :]
-        elif where.startswith("graph.arcs["):
+        if where.startswith("graph.arcs["):
             where = where.replace(".payload", f".payload.{side}", 1)
+        else:
+            where = side + where[len("weight_space") :]
         raise ValidationError(exc.message, where) from None
 
 
@@ -1195,9 +1176,13 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
 
     `params` is its ``params`` object and `arc_items` holds one
     ((tail, head), payload) pair per arc, with payload None where the arc
-    has none.  Malformed input raises ValidationError.  The readers name an
-    arc's payload ``arc (tail, head)``; the error names it by its place in
-    the document, ``graph.arcs[i].payload``.
+    has none.  Malformed input raises ValidationError, whose path is a
+    path in the document.  The readers and constructors name a place
+    relative to `params`, which becomes ``weight_space.params.<place>``
+    (``weight_space.params`` for no place), or in an arc's payload as
+    ``arc (tail, head)<rest>``, which becomes
+    ``graph.arcs[i].payload<rest>``.  A `product` part's paths come back
+    from its own `build_space`, already in the document.
     """
     reader = SPACE_READERS.get(kind) if isinstance(kind, str) else None
     if reader is None:
@@ -1211,11 +1196,14 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
     try:
         return reader(params, arc_items, source)
     except ValidationError as exc:
-        arc, close, rest = exc.path.partition(")")
+        where = exc.path
+        arc, close, rest = where.partition(")")
         index = {f"arc {key}": i for i, (key, _payload) in enumerate(arc_items)}.get(arc + close)
-        if index is None:
-            raise
-        raise ValidationError(exc.message, f"graph.arcs[{index}].payload{rest}") from None
+        if index is not None:
+            where = f"graph.arcs[{index}].payload{rest}"
+        elif not where.startswith("graph.arcs["):
+            where = f"weight_space.params.{where}" if where else "weight_space.params"
+        raise ValidationError(exc.message, where) from None
 
 
 # ---------------------------------------------------------------------------

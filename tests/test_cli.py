@@ -21,7 +21,7 @@ from posp import cli, conditions
 from posp.algorithms import SolveMode, bellman_solve, enumerate_source_paths, mda_solve
 from posp.core import LeoMonotonicityError, reconstruct_path
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
-from posp.weights import MAX_PRODUCT_DEPTH
+from posp.weights import MAX_PRODUCT_DEPTH, SPACE_READERS
 
 
 def fixture_file(name: str) -> str:
@@ -289,6 +289,14 @@ PAYLOAD_RANGE_ERRORS = [
     ("subset_catchup.json", 4, [1, 9], "graph.arcs[4].payload: set contains elements outside 1..3: [9]"),
     # Arc 1 is a station loop without a payload; arc 3 is still the fourth.
     ("evsp_demo.json", 3, {"time": 0, "delta": 0}, "graph.arcs[3].payload.time: travel time must be positive"),
+    # A payload given as an object of one field keeps the field in its path.
+    ("fifo_demo.json", 0, {"breakpoints": [[0, -1]]}, "graph.arcs[0].payload.breakpoints[0]: negative travel time -1"),
+    (
+        "tourist_demo.json",
+        0,
+        {"length": "x"},
+        "graph.arcs[0].payload.length: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+    ),
 ]
 
 
@@ -296,6 +304,69 @@ PAYLOAD_RANGE_ERRORS = [
 def test_payload_range_errors_name_the_arc_payload(fixture, index, payload, error, tmp_path, capsys):
     doc = fixture_doc(fixture)
     doc["graph"]["arcs"][index]["payload"] = payload
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {error}\n"
+    assert captured.out == ""
+
+
+def as_first_part(doc):
+    """`doc` with its weight space as the first part of a product with a `mosp` second part."""
+    doc["weight_space"] = {
+        "kind": "product",
+        "params": {"first": doc["weight_space"], "second": {"kind": "mosp", "params": {"dimension": 1}}},
+    }
+    for arc in doc["graph"]["arcs"]:
+        arc["payload"] = {"first": arc.get("payload"), "second": [1]}
+    return doc
+
+
+# A parameter error names the parameter's place under ``weight_space.params``.
+PARAM_ERRORS = {
+    "bottleneck-initial": (
+        with_params("bottleneck_demo.json", initial_bottleneck=["x"]),
+        "weight_space.params.initial_bottleneck: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "bottleneck-negative-additive": (
+        with_params("bottleneck_demo.json", additive_dimension=-1),
+        "weight_space.params.additive_dimension: dimension must be nonnegative",
+    ),
+    "bottleneck-negative-bottleneck": (
+        with_params("bottleneck_demo.json", bottleneck_dimension=-1),
+        "weight_space.params.bottleneck_dimension: dimension must be nonnegative",
+    ),
+    "bottleneck-negative-without-arcs": (
+        minimal_doc(
+            graph={"vertex_count": 2, "arcs": []},
+            weight_space={
+                "kind": "bottleneck",
+                "params": {"additive_dimension": -1, "bottleneck_dimension": -2},
+            },
+        ),
+        "weight_space.params.additive_dimension: dimension must be nonnegative",
+    ),
+    "tourist-value": (
+        with_params("tourist_demo.json", values=[3, "x", 2, 7]),
+        "weight_space.params.values[1]: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
+    ),
+    "evsp-station-point": (
+        with_params("evsp_demo.json", stations={"1": [[0, 2], [1, 0.6], [2, 1]]}),
+        "weight_space.params.stations.1[0]: state of charge 2 outside [0, 1]",
+    ),
+    "evsp-initial-soc": (
+        with_params("evsp_demo.json", initial_soc=2),
+        "weight_space.params.initial_soc: initial state of charge must lie in [0, 1]",
+    ),
+    "table-initial-in-a-product": (
+        as_first_part(with_params("dependent_extension.json", initial="9")),
+        "weight_space.params.first.params.initial: initial weight '9' not in weight set",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PARAM_ERRORS))
+def test_param_errors_name_the_param(case, tmp_path, capsys):
+    doc, error = PARAM_ERRORS[case]
     assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"validation error: {error}\n"
@@ -361,11 +432,32 @@ def replaceable_slots(value):
     return slots
 
 
+# The top-level fields of an instance document; every validation error's path starts with one.
+DOCUMENT_FIELDS = (
+    "format_version",
+    "graph",
+    "source",
+    "weight_space",
+    "declared_properties",
+    "mu",
+    "max_iterations",
+    "name",
+)
+DOCUMENT_PATH = re.compile(rf"validation error: ({'|'.join(DOCUMENT_FIELDS)})[.\[:]")
+
+
+def test_fixtures_cover_every_weight_space_kind():
+    # The wrong-shape runs reach a kind's reader only through a fixture of that kind.
+    kinds = {fixture_doc(name)["weight_space"]["kind"] for name in ALL_FIXTURES}
+    assert kinds == set(SPACE_READERS)
+
+
 @pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_wrong_shapes_end_in_a_documented_exit_code(name, tmp_path):
+def test_wrong_shapes_end_in_a_documented_exit_code(name, tmp_path, capsys):
     # Every slot of the document (top-level fields, the graph, each arc, the
     # weight space with its params and payloads, an absent payload too) is
-    # in turn deleted and given each wrong shape.
+    # in turn deleted and given each wrong shape.  A validation error names
+    # its place by a path in the document.
     base = fixture_doc(name)
     for arc in base["graph"]["arcs"]:
         arc.setdefault("payload", None)
@@ -381,6 +473,9 @@ def test_wrong_shapes_end_in_a_documented_exit_code(name, tmp_path):
             path.write_text(json.dumps(doc))
             code = cli.main(["solve", str(path), "--force"])
             assert code in (0, 2, 3, 4, 5), (slot, shape)
+            for line in capsys.readouterr().err.splitlines():
+                if line.startswith("validation error: "):
+                    assert DOCUMENT_PATH.match(line), (slot, shape, line)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from posp.weights import (
     mosp_space,
     product_space,
     render_rational,
-    semilattice_min_space,
     subset_space,
     table_space,
     tourist_space,
@@ -78,6 +77,23 @@ def test_as_rational_keeps_ints_and_reads_everything_else_exactly():
         assert type(got) is Fraction and got == exact
     with pytest.raises(ValidationError):
         as_rational(True)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (lambda: interval_space("x", 1, {}), "alpha"),
+        (lambda: interval_space(0, 1, {(0, 1): {"c": 1, "w": "x"}}), "arc (0, 1).w"),
+        (lambda: tourist_space(1, [0, "x"], [0, 0], 1, {}, 0), "values[1]"),
+        (lambda: tourist_space(1, [0, 0], [0, 0], 1, {(0, 1): {"length": "x"}}, 0), "arc (0, 1).length"),
+        (lambda: fifo_time_space(0, {(0, 1): {"breakpoints": [[0, -1]]}}), "arc (0, 1).breakpoints[0]"),
+        (lambda: bottleneck_space(-1, 1, {}), "additive_dimension"),
+    ],
+)
+def test_constructor_errors_name_their_own_arguments(make, path):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert info.value.path == path
 
 
 def test_render_rational():
@@ -145,17 +161,18 @@ def test_bottleneck_matches_product_of_pieces(arcdata, cap0):
     both = {}
     for key, (addv, capv) in zip(arcs, arcdata):
         adds[key] = [addv]
-        caps[key] = [capv]
+        caps[key] = [[], [capv]]
         both[key] = {"additive": [addv], "bottleneck": [capv]}
     bn = bottleneck_space(1, 1, both, initial_bottleneck=[cap0])
+    # The min piece is a bottleneck space with an empty additive block.
     pr = product_space(
         mosp_space(1, adds),
-        semilattice_min_space(1, caps, initial=[cap0]),
+        bottleneck_space(0, 1, caps, initial_bottleneck=[cap0]),
     )
     a1, a2 = Arc(0, 0, 1), Arc(1, 1, 2)
     wb = bn.update(bn.update(bn.initial, a1), a2)
     wp = pr.update(pr.update(pr.initial, a1), a2)
-    assert wb == wp
+    assert wb == (wp[0], wp[1][1])
     wb1 = bn.update(bn.initial, a1)
     wp1 = pr.update(pr.initial, a1)
     assert bn.comparator(wb1, wb) is pr.comparator(wp1, wp)

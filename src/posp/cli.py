@@ -145,9 +145,14 @@ def parse_instance(doc: Any) -> Instance:
 
 def _load_document(path: str) -> Any:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
+    try:
+        # JSON text is UTF-8 (RFC 8259); a byte order mark stays a JSON error.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8: {exc}") from None
     try:
         # parse_float sees the literal text, so decimals stay exact.
         return json.loads(text, parse_float=Fraction)
@@ -166,23 +171,23 @@ def _entry_docs(space: WeightSpace, triples: list[tuple[Any, tuple[int, ...], in
     render = space.render or repr
     infeasible = space.infeasible
     leo_key = space.leo_key
-    if leo_key is not None:
-        key = lambda t: (leo_key(t[0]), t[2], t[1])  # noqa: E731
-    else:
-        key = lambda t: (  # noqa: E731
-            json.dumps(render(t[0]), sort_keys=True, default=_json_default),
-            t[2],
-            t[1],
+    if leo_key is None:
+        leo_key = lambda w: json.dumps(render(w), sort_keys=True, default=_json_default)  # noqa: E731
+    # Sorting (key, length, path, position) rows is the stable sort on
+    # (key, length, path).  A path tuple is written as a JSON list.
+    rows = sorted([(leo_key(w), length, path, i) for i, (w, path, length) in enumerate(triples)])
+    docs = []
+    for _key, length, path, i in rows:
+        w = triples[i][0]
+        docs.append(
+            {
+                "weight": render(w),
+                "path": path,
+                "length": length,
+                "feasible": infeasible is None or not infeasible(w),
+            }
         )
-    return [
-        {
-            "weight": render(w),
-            "path": list(path),
-            "length": length,
-            "feasible": infeasible is None or not infeasible(w),
-        }
-        for w, path, length in sorted(triples, key=key)
-    ]
+    return docs
 
 
 def _frontier_docs(instance: Instance, result: SolveResult) -> list[dict]:

@@ -13,7 +13,7 @@ Labels are immutable records linked through predecessor references; a label
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
@@ -120,18 +120,32 @@ ALL_PROPERTIES = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class Arc:
-    """Directed arc.  Loops are allowed; parallel arcs are not."""
+    """Directed arc.  Loops are allowed; parallel arcs are not.
 
-    index: int
-    tail: int
-    head: int
-    # (tail, head), built once: arc data is looked up by it on every update.
-    key: tuple[int, int] = field(init=False, repr=False, compare=False)
+    A plain slotted record, equal and hashed by (index, tail, head); its
+    attributes are not guarded against assignment, and no code assigns them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", (self.tail, self.head))
+    __slots__ = ("index", "tail", "head", "key")
+
+    def __init__(self, index: int, tail: int, head: int):
+        self.index = index
+        self.tail = tail
+        self.head = head
+        # Built once: arc data is looked up by it on every update.
+        self.key = (tail, head)
+
+    def __repr__(self) -> str:
+        return f"Arc(index={self.index!r}, tail={self.tail!r}, head={self.head!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.tail, self.head))
 
 
 @dataclass(frozen=True)
@@ -199,19 +213,21 @@ class Instance:
         if not (0 <= self.source < n):
             raise ValidationError(f"source {self.source} out of range", "source")
         seen: dict[tuple[int, int], int] = {}
+        out_arcs: list[list[Arc]] = [[] for _ in range(n)]
+        in_arcs: list[list[Arc]] = [[] for _ in range(n)]
         for pos, arc in enumerate(self.arcs):
+            tail, head = key = arc.key
             if arc.index != pos:
                 raise ValidationError("arc indices must match their positions", "graph.arcs")
-            if not (0 <= arc.tail < n and 0 <= arc.head < n):
+            if not (0 <= tail < n and 0 <= head < n):
+                raise ValidationError(f"arc {key} has an endpoint out of range", f"graph.arcs[{pos}]")
+            if key in seen:
                 raise ValidationError(
-                    f"arc {arc.key} has an endpoint out of range", f"graph.arcs[{pos}]"
+                    f"parallel arc {key} (first at index {seen[key]})", f"graph.arcs[{pos}]"
                 )
-            if arc.key in seen:
-                raise ValidationError(
-                    f"parallel arc {arc.key} (first at index {seen[arc.key]})",
-                    f"graph.arcs[{pos}]",
-                )
-            seen[arc.key] = pos
+            seen[key] = pos
+            out_arcs[tail].append(arc)
+            in_arcs[head].append(arc)
         unknown = set(self.declared) - ALL_PROPERTIES
         if unknown:
             raise ValidationError(
@@ -223,11 +239,6 @@ class Instance:
             raise ValidationError("mu must be nonnegative", "mu")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1", "max_iterations")
-        out_arcs: list[list[Arc]] = [[] for _ in range(n)]
-        in_arcs: list[list[Arc]] = [[] for _ in range(n)]
-        for arc in self.arcs:
-            out_arcs[arc.tail].append(arc)
-            in_arcs[arc.head].append(arc)
         object.__setattr__(self, "_out", tuple(tuple(a) for a in out_arcs))
         object.__setattr__(self, "_in", tuple(tuple(a) for a in in_arcs))
         object.__setattr__(self, "_by_key", seen)

@@ -212,12 +212,22 @@ def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Ration
     )
 
 
-def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> dict[ArcKey, tuple[Rational, ...]]:
-    """Each arc's vector of `dim` exact numbers; only an error path names the arc."""
-    return {
-        key: _int_vector(values, dim) or _rational_vector(values, dim, f"arc {key}")
-        for key, values in arc_data.items()
-    }
+def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> tuple[dict[ArcKey, tuple[Rational, ...]], bool]:
+    """Each arc's vector of `dim` exact numbers, and whether every vector
+    came as a list of plain ints; only an error path names the arc."""
+    vectors = {}
+    plain = True
+    for key, values in arc_data.items():
+        if type(values) is list and len(values) == dim:
+            for v in values:
+                if type(v) is not int:
+                    break
+            else:
+                vectors[key] = tuple(values)
+                continue
+        vectors[key] = _rational_vector(values, dim, f"arc {key}")
+        plain = False
+    return vectors, plain
 
 
 def _vector_compare(a: Sequence[Rational], b: Sequence[Rational]) -> ComparisonResult:
@@ -316,7 +326,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
     """
     if dimension < 1:
         raise ValidationError("dimension must be at least 1", "dimension")
-    costs = _arc_vectors(arc_costs, dimension)
+    costs, plain = _arc_vectors(arc_costs, dimension)
 
     if dimension == 2:
         comparator = _pair_compare
@@ -347,7 +357,8 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
         update=update,
         initial=(0,) * dimension,
         leo_key=tuple,
-        render=_render_vector,
+        # Sums of plain ints are int tuples, which render as they are.
+        render=list if plain else _render_vector,
     )
 
 
@@ -852,13 +863,13 @@ def tourist_space(
             raise ValidationError(f"category {c} out of range", f"categories[{i}]")
         if values[i] < 0:
             raise ValidationError("vertex values must be nonnegative", f"values[{i}]")
-    lengths = {
-        key: as_rational(*_unwrap(data, "length", f"arc {key}"))
-        for key, data in arc_lengths.items()
-    }
+    lengths, places = {}, {}
+    for key, data in arc_lengths.items():
+        value, places[key] = _unwrap(data, "length", f"arc {key}")
+        lengths[key] = as_rational(value, places[key])
     for key, l in lengths.items():
         if l < 0:
-            raise ValidationError("length must be nonnegative", f"arc {key}")
+            raise ValidationError("length must be nonnegative", places[key])
         if not (0 <= key[1] < n):
             raise ValidationError(f"arc {key} enters a vertex with no value")
     if not (0 <= source < n):
@@ -906,7 +917,7 @@ def _read_tourist(params, arcs, source):
     return tourist_space(
         _param(params, "budget"),
         _list(_param(params, "values"), "values"),
-        [_as_int(c, "categories") for c in categories],
+        [_as_int(c, f"categories[{i}]") for i, c in enumerate(categories)],
         _size_param(params, "category_count"),
         _payloads(arcs),
         source,
@@ -1174,7 +1185,8 @@ SPACE_READERS: dict[str, Callable[[Mapping[str, Any], Sequence[ArcItem], int], W
 def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: int) -> WeightSpace:
     """The weight space of an instance document's ``weight_space`` object.
 
-    `params` is its ``params`` object and `arc_items` holds one
+    `params` is its ``params`` object, ``{}`` only where the document
+    leaves it out (a ``null`` is no object), and `arc_items` holds one
     ((tail, head), payload) pair per arc, with payload None where the arc
     has none.  Malformed input raises ValidationError, whose path is a
     path in the document.  The readers and constructors name a place
@@ -1190,7 +1202,6 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
             f"unknown weight space kind {kind!r} (expected one of {', '.join(SPACE_READERS)})",
             "weight_space.kind",
         )
-    params = params or {}
     if not isinstance(params, dict):
         raise ValidationError("expected an object", "weight_space.params")
     try:

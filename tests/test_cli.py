@@ -216,6 +216,75 @@ def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
     assert captured.out == ""
 
 
+# ---------------------------------------------------------------------------
+# Result rendering.
+
+
+def reference_entry_docs(space, triples):
+    """What `_entry_docs` renders: a stable sort on (linear-extension key, length, path)."""
+    render = space.render or repr
+    if space.leo_key is not None:
+        key = lambda t: (space.leo_key(t[0]), t[2], t[1])  # noqa: E731
+    else:
+        key = lambda t: (json.dumps(render(t[0]), sort_keys=True, default=cli._json_default), t[2], t[1])  # noqa: E731
+    return [
+        {
+            "weight": render(w),
+            "path": list(path),
+            "length": length,
+            "feasible": space.infeasible is None or not space.infeasible(w),
+        }
+        for w, path, length in sorted(triples, key=key)
+    ]
+
+
+def assert_entry_docs_match_the_reference(instance, mode, seed):
+    """All vertices' labels in one shuffled list, with repeats: ties in every key column."""
+    result = bellman_solve(instance, mode)
+    triples = [(lab.weight, reconstruct_path(lab), lab.length) for f in result.frontiers for lab in f]
+    random.Random(seed).shuffle(triples)
+    triples += triples[: len(triples) // 3]
+    expected = reference_entry_docs(instance.space, triples)
+    actual = cli._entry_docs(instance.space, triples)
+    assert json.dumps(actual, default=cli._json_default) == json.dumps(expected, default=cli._json_default)
+    return expected
+
+
+@pytest.mark.parametrize("structure", MIN_STRUCTURES + MAX_STRUCTURES)
+def test_entry_docs_equal_the_stable_sort_reference(structure):
+    ties = 0
+    for seed in range(4):
+        instance = random_instance(structure, seed)
+        for mode in SolveMode:
+            docs = assert_entry_docs_match_the_reference(instance, mode, seed)
+            weights = [json.dumps(d["weight"], default=cli._json_default) for d in docs]
+            ties += len(weights) - len(set(weights))
+    assert ties
+
+
+def test_entry_docs_without_a_linear_extension_sort_by_rendered_weight():
+    instance = posp.generators.kn_instance(3, 3)
+    assert instance.space.leo_key is None
+    assert_entry_docs_match_the_reference(instance, SolveMode.MIN, 0)
+
+
+def test_entry_docs_render_fraction_mosp_costs_as_ratios():
+    costs = {(0, 1): ["1/2", 1], (1, 2): [1, "0.25"], (0, 2): [2, 1]}
+    instance = posp.build_instance(3, list(costs), 0, posp.weights.mosp_space(2, costs))
+    docs = assert_entry_docs_match_the_reference(instance, SolveMode.MAX, 0)
+    assert {"weight": ["3/2", "5/4"], "path": [0, 1, 2], "length": 2, "feasible": True} in docs
+
+
+def test_a_document_that_is_not_utf8_exits_two_without_a_traceback(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'\xff{"a": 1}')
+    r = run_cli("solve", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"validation error: {path} is not UTF-8: ")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def nested_product_doc(depth):
     """A one-arc document whose space nests `depth` products in their first parts."""
     space, payload = {"kind": "mosp", "params": {"dimension": 1}}, [1]
@@ -285,7 +354,7 @@ PAYLOAD_RANGE_ERRORS = [
     ("wcspr_demo.json", 2, {"w": -1, "r": 1}, "graph.arcs[2].payload: cost and resource must be nonnegative"),
     ("wcspr_demo.json", 0, {"w": 1, "r": -1}, "graph.arcs[0].payload: cost and resource must be nonnegative"),
     ("wcspr_demo.json", 5, {"w": 1, "r": 11}, "graph.arcs[5].payload.r: resource 11 exceeds the limit 10"),
-    ("tourist_demo.json", 1, {"length": -2}, "graph.arcs[1].payload: length must be nonnegative"),
+    ("tourist_demo.json", 1, {"length": -2}, "graph.arcs[1].payload.length: length must be nonnegative"),
     ("subset_catchup.json", 4, [1, 9], "graph.arcs[4].payload: set contains elements outside 1..3: [9]"),
     # Arc 1 is a station loop without a payload; arc 3 is still the fourth.
     ("evsp_demo.json", 3, {"time": 0, "delta": 0}, "graph.arcs[3].payload.time: travel time must be positive"),
@@ -297,6 +366,7 @@ PAYLOAD_RANGE_ERRORS = [
         {"length": "x"},
         "graph.arcs[0].payload.length: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
     ),
+    ("tourist_demo.json", 1, -2, "graph.arcs[1].payload: length must be nonnegative"),
 ]
 
 
@@ -349,6 +419,10 @@ PARAM_ERRORS = {
         with_params("tourist_demo.json", values=[3, "x", 2, 7]),
         "weight_space.params.values[1]: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
     ),
+    "tourist-category": (
+        with_params("tourist_demo.json", categories=[0, 0, "1", 1]),
+        "weight_space.params.categories[2]: expected an integer, got '1'",
+    ),
     "evsp-station-point": (
         with_params("evsp_demo.json", stations={"1": [[0, 2], [1, 0.6], [2, 1]]}),
         "weight_space.params.stations.1[0]: state of charge 2 outside [0, 1]",
@@ -370,6 +444,26 @@ def test_param_errors_name_the_param(case, tmp_path, capsys):
     assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"validation error: {error}\n"
+    assert captured.out == ""
+
+
+# Only a missing `params` means {}; a null is no object either.
+@pytest.mark.parametrize("value", [[], 0, "", False, None], ids=repr)
+@pytest.mark.parametrize("in_part", [False, True], ids=["top", "part"])
+def test_params_that_are_not_an_object_exit_two(value, in_part, tmp_path, capsys):
+    doc = fixture_doc("fifo_demo.json")
+    where = "weight_space.params"
+    if in_part:
+        doc = as_first_part(doc)
+        where = "weight_space.params.first.params"
+    space = doc["weight_space"]["params"]["first"] if in_part else doc["weight_space"]
+    del space["params"]
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    space["params"] = value
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"validation error: {where}: expected an object\n"
     assert captured.out == ""
 
 

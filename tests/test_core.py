@@ -48,6 +48,45 @@ def test_arc_key():
     assert Arc(0, 3, 7).key == (3, 7)
 
 
+def test_arc_is_a_slotted_record_equal_and_hashed_by_its_fields():
+    arc = Arc(0, 0, 1)
+    assert (arc.index, arc.tail, arc.head, arc.key) == (0, 0, 1, (0, 1))
+    assert not hasattr(arc, "__dict__")
+    assert repr(arc) == "Arc(index=0, tail=0, head=1)"
+    assert arc == Arc(index=0, tail=0, head=1)
+    assert hash(arc) == hash(Arc(0, 0, 1)) == hash((0, 0, 1))
+    assert arc != Arc(1, 0, 1) and arc != Arc(0, 1, 1) and arc != Arc(0, 0, 2)
+    assert arc != (0, 0, 1)
+    assert len({arc, Arc(0, 0, 1), Arc(1, 0, 1)}) == 2
+
+
+@pytest.mark.parametrize(
+    "n, arcs, source, path, message",
+    [
+        (0, [], 0, "graph.vertex_count", "vertex count must be positive"),
+        (2, [], 2, "source", "source 2 out of range"),
+        # Arcs are checked in order, each for index, endpoints, then parallels.
+        (2, [Arc(0, 0, 2), Arc(5, 0, 1)], 0, "graph.arcs[0]", "arc (0, 2) has an endpoint out of range"),
+        (2, [Arc(0, 0, 1), Arc(5, 0, 2)], 0, "graph.arcs", "arc indices must match their positions"),
+        (2, [Arc(0, 0, 1), Arc(1, 0, 1), Arc(2, 0, 2)], 0, "graph.arcs[1]", "parallel arc (0, 1) (first at index 0)"),
+    ],
+)
+def test_instance_errors_win_in_order(n, arcs, source, path, message):
+    space = WeightSpace("w", lambda a, b: EQUAL, lambda w, arc: w, 0)
+    with pytest.raises(ValidationError) as info:
+        posp.Instance(n, tuple(arcs), source, space)
+    assert (info.value.path, info.value.message) == (path, message)
+
+
+def test_instance_adjacency_keeps_arc_order():
+    inst = build_instance(3, [(0, 1), (2, 1), (0, 2), (1, 1)], 0, WeightSpace("w", None, None, 0))
+    assert [a.index for a in inst.out_arcs(0)] == [0, 2]
+    assert [a.index for a in inst.in_arcs(1)] == [0, 1, 3]
+    assert inst.out_arcs(1) == (Arc(3, 1, 1),)
+    assert inst.arc_between(2, 1) is inst.arcs[1]
+    assert inst.arc_between(1, 0) is None
+
+
 # ---------------------------------------------------------------------------
 # Table weight spaces.
 

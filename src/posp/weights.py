@@ -201,9 +201,12 @@ def _list(value: Any, path: str) -> list:
 
 def _int_vector(values: Any, dim: int) -> tuple[int, ...] | None:
     """`values` as a tuple when it is a list of `dim` plain ints, else None."""
-    if type(values) is list and len(values) == dim and all(type(v) is int for v in values):
-        return tuple(values)
-    return None
+    if type(values) is not list or len(values) != dim:
+        return None
+    for v in values:  # a loop: `all()` over a generator costs twice as much
+        if type(v) is not int:
+            return None
+    return tuple(values)
 
 
 def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Rational, ...]:
@@ -218,15 +221,11 @@ def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> tuple[dict[ArcKey,
     vectors = {}
     plain = True
     for key, values in arc_data.items():
-        if type(values) is list and len(values) == dim:
-            for v in values:
-                if type(v) is not int:
-                    break
-            else:
-                vectors[key] = tuple(values)
-                continue
-        vectors[key] = _rational_vector(values, dim, f"arc {key}")
-        plain = False
+        vector = _int_vector(values, dim)
+        if vector is None:
+            vector = _rational_vector(values, dim, f"arc {key}")
+            plain = False
+        vectors[key] = vector
     return vectors, plain
 
 

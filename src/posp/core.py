@@ -121,11 +121,9 @@ ALL_PROPERTIES = frozenset(
 
 
 class Arc:
-    """Directed arc.  Loops are allowed; parallel arcs are not.
-
-    A plain slotted record, equal and hashed by (index, tail, head); its
-    attributes are not guarded against assignment, and no code assigns them.
-    """
+    """Directed arc.  Loops are allowed; parallel arcs are not.  A plain
+    slotted record, equal and hashed by (index, tail, head); nothing guards
+    its attributes against assignment, and no code assigns them."""
 
     __slots__ = ("index", "tail", "head", "key")
 

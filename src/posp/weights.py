@@ -215,7 +215,9 @@ def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Ration
     )
 
 
-def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> tuple[dict[ArcKey, tuple[Rational, ...]], bool]:
+def _arc_vectors(
+    arc_data: Mapping[ArcKey, Any], dim: int
+) -> tuple[dict[ArcKey, tuple[Rational, ...]], bool]:
     """Each arc's vector of `dim` exact numbers, and whether every vector
     came as a list of plain ints; only an error path names the arc."""
     vectors = {}

@@ -37,13 +37,11 @@ is supplied separately.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .algorithms import enumerate_source_paths, nondominated_weights
 from .core import (
-    ALL_PROPERTIES,
     ARC_INCREASING,
     CYCLE_INCREASING,
     CYCLE_NON_DECREASING,
@@ -665,20 +663,11 @@ def mda_leo_justified(closed: frozenset[str]) -> bool:
 def permitted_algorithms(
     properties: Iterable[str] | PropertySet, variant: str, has_leo: bool
 ) -> dict[str, bool]:
-    """Which solver families are safe for the declared properties.
-
-    Names outside ALL_PROPERTIES match no row and imply nothing, so the
-    answer depends only on the known names; it is computed once per key.
-    """
-    names = properties.properties if isinstance(properties, PropertySet) else frozenset(properties)
-    return dict(_permitted(names & ALL_PROPERTIES, variant, has_leo))
-
-
-@functools.cache
-def _permitted(names: frozenset[str], variant: str, has_leo: bool) -> tuple[tuple[str, bool], ...]:
-    props = PropertySet(names)
-    rows = recommend_algorithm(props, variant)
-    return (
-        ("bellman", any(r.algorithm == "bellman" for r in rows)),
-        ("mda", any(r.algorithm == "mda" for r in rows) and has_leo and mda_leo_justified(props.closed())),
-    )
+    """Which solver families are safe for the declared properties."""
+    props = properties if isinstance(properties, PropertySet) else PropertySet(properties)
+    closed = props.closed()
+    found = {row.algorithm for row in TABLE_ROWS if _variant_matches(row, variant) and row.required <= closed}
+    return {
+        "bellman": "bellman" in found,
+        "mda": "mda" in found and has_leo and mda_leo_justified(closed),
+    }

@@ -13,7 +13,7 @@ Labels are immutable records linked through predecessor references; a label
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Sequence
 
@@ -120,30 +120,20 @@ ALL_PROPERTIES = frozenset(
 )
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Arc:
-    """Directed arc.  Loops are allowed; parallel arcs are not.  A plain
-    slotted record, equal and hashed by (index, tail, head); nothing guards
-    its attributes against assignment, and no code assigns them."""
+    """Directed arc.  Loops are allowed; parallel arcs are not.  A slotted
+    record equal and hashed by (index, tail, head); nothing guards its
+    attributes against assignment, and no code assigns them."""
 
-    __slots__ = ("index", "tail", "head", "key")
+    index: int
+    tail: int
+    head: int
+    # (tail, head), built once: arc data is looked up by it on every update.
+    key: tuple[int, int] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, index: int, tail: int, head: int):
-        self.index = index
-        self.tail = tail
-        self.head = head
-        # Built once: arc data is looked up by it on every update.
-        self.key = (tail, head)
-
-    def __repr__(self) -> str:
-        return f"Arc(index={self.index!r}, tail={self.tail!r}, head={self.head!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.index == other.index and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.tail, self.head))
+    def __post_init__(self):
+        self.key = (self.tail, self.head)
 
 
 @dataclass(frozen=True)

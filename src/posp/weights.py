@@ -215,20 +215,12 @@ def _rational_vector(values: Sequence[Any], dim: int, path: str) -> tuple[Ration
     )
 
 
-def _arc_vectors(
-    arc_data: Mapping[ArcKey, Any], dim: int
-) -> tuple[dict[ArcKey, tuple[Rational, ...]], bool]:
-    """Each arc's vector of `dim` exact numbers, and whether every vector
-    came as a list of plain ints; only an error path names the arc."""
-    vectors = {}
-    plain = True
-    for key, values in arc_data.items():
-        vector = _int_vector(values, dim)
-        if vector is None:
-            vector = _rational_vector(values, dim, f"arc {key}")
-            plain = False
-        vectors[key] = vector
-    return vectors, plain
+def _arc_vectors(arc_data: Mapping[ArcKey, Any], dim: int) -> dict[ArcKey, tuple[Rational, ...]]:
+    """Each arc's vector of `dim` exact numbers; only an error path names the arc."""
+    return {
+        key: _int_vector(values, dim) or _rational_vector(values, dim, f"arc {key}")
+        for key, values in arc_data.items()
+    }
 
 
 def _vector_compare(a: Sequence[Rational], b: Sequence[Rational]) -> ComparisonResult:
@@ -327,7 +319,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
     """
     if dimension < 1:
         raise ValidationError("dimension must be at least 1", "dimension")
-    costs, plain = _arc_vectors(arc_costs, dimension)
+    costs = _arc_vectors(arc_costs, dimension)
 
     if dimension == 2:
         comparator = _pair_compare
@@ -358,8 +350,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
         update=update,
         initial=(0,) * dimension,
         leo_key=tuple,
-        # Sums of plain ints are int tuples, which render as they are.
-        render=list if plain else _render_vector,
+        render=_render_vector,
     )
 
 

@@ -49,11 +49,15 @@ _STATISTICS = re.compile(r'"statistics":(\{[^{}]*\})')
 
 
 def _workloads():
+    """perfbench/workloads.py, which imports its siblings `gen` and `reference`
+    by bare name; none of the three is left in sys.modules under that name."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+        for name in ("workloads", "gen", "reference"):
+            sys.modules.pop(name, None)
     return workloads
 
 

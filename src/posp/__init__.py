@@ -76,7 +76,6 @@ from .conditions import (
     evaluate_table,
     mda_leo_justified,
     permitted_algorithms,
-    recommend_algorithm,
 )
 from .cli import main, parse_instance
 

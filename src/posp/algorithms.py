@@ -80,13 +80,8 @@ class SolveStats:
     merge_operations: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "iterations": self.iterations,
-            "extractions": self.extractions,
-            "insertions": self.insertions,
-            "comparisons": self.comparisons,
-            "merge_operations": self.merge_operations,
-        }
+        """The counters by field name, in field order."""
+        return dict(vars(self))
 
 
 @dataclass
@@ -421,12 +416,6 @@ class OracleResult:
     node_count: int
     max_len: int
 
-    def weights(self, v: int) -> list[Any]:
-        return [e.weight for e in self.entries[v]]
-
-    def paths(self, v: int) -> list[tuple[int, ...]]:
-        return [e.path for e in self.entries[v]]
-
 
 def enumerate_source_paths(
     instance: Instance,
@@ -480,7 +469,6 @@ def brute_force_frontier(
     instance: Instance,
     max_len: int,
     mode: SolveMode = SolveMode.MIN,
-    budget: int | None = None,
 ) -> OracleResult:
     """Exhaustive reference frontiers for paths of at most max_len arcs.
 
@@ -492,7 +480,7 @@ def brute_force_frontier(
     effective = max_len
     if mode is SolveMode.MAX and instance.mu is not None:
         effective = min(effective, instance.mu)
-    by_vertex, nodes = enumerate_source_paths(instance, effective, budget)
+    by_vertex, nodes = enumerate_source_paths(instance, effective)
     space = instance.space
     entries: list[list[OracleEntry]] = []
     for v in range(instance.vertex_count):

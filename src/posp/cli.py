@@ -7,9 +7,9 @@ option set.
 
 Exit codes: 0 success; 2 validation/input error (including enumeration
 budget); 3 no valid algorithm for the declared properties (or a requested
-solver the weight space cannot support); 4 the iteration guard stopped a
-solve; 5 a checker refuted a declared property (or a solve-time monotonicity
-assertion failed).
+solver, or a requested linear-extension audit, that the weight space cannot
+support); 4 the iteration guard stopped a solve; 5 a checker refuted a
+declared property (or a solve-time monotonicity assertion failed).
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .algorithms import (
     GUARD_HIT,
     SolveMode,
-    SolveResult,
     bellman_solve,
     brute_force_frontier,
     iteration_guard,
@@ -35,6 +34,7 @@ from .algorithms import (
 )
 from .conditions import (
     DEFAULT_DEPTH,
+    MONOTONICITY_KINDS,
     PathSample,
     PropertySet,
     check_history_free,
@@ -74,8 +74,6 @@ MAX_VERTEX_COUNT = 100_000
 # frontier, so its time grows with the square of the label count: n = 2,
 # m = 13 (8,191 labels) takes about 4 s on a 2-core VM.
 MAX_KN_SIZE = 10_000
-
-WEIGHT_SPACE_KINDS = tuple(weights.SPACE_READERS)
 
 
 def _err(message: str) -> None:
@@ -155,9 +153,12 @@ def _load_document(path: str) -> Any:
         raise ValidationError(f"{path} is not UTF-8: {exc}") from None
     try:
         # parse_float sees the literal text, so decimals stay exact.
-        return json.loads(text, parse_float=Fraction)
+        return json.loads(text, parse_float=weights.read_decimal)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:
+        # A number past Python's int/str digit limit or `weights.MAX_EXPONENT`.
+        raise ValidationError(f"{path} holds a number that cannot be read: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path} nests too deeply to read") from None
 
@@ -190,15 +191,9 @@ def _entry_docs(space: WeightSpace, triples: list[tuple[Any, tuple[int, ...], in
     return docs
 
 
-def _frontier_docs(instance: Instance, result: SolveResult) -> list[dict]:
-    docs = []
-    for v in range(instance.vertex_count):
-        triples = [
-            (lab.weight, reconstruct_path(lab), lab.length)
-            for lab in result.frontiers[v]
-        ]
-        docs.append({"vertex": v, "entries": _entry_docs(instance.space, triples)})
-    return docs
+def _frontier_docs(space: WeightSpace, frontiers: Iterable[list]) -> list[dict]:
+    """One document per vertex, in order, from its (weight, path, length) triples."""
+    return [{"vertex": v, "entries": _entry_docs(space, triples)} for v, triples in enumerate(frontiers)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +208,6 @@ def _automatic_choice(permitted: dict[str, bool]) -> str | None:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_instance(_load_document(args.file))
     variant = args.variant
-    mode = SolveMode.MIN if variant == "min" else SolveMode.MAX
     permitted = permitted_algorithms(
         instance.declared, variant, instance.space.leo_key is not None
     )
@@ -237,8 +231,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.max_iterations is not None:
         instance = dataclasses.replace(instance, max_iterations=args.max_iterations)
     solve = bellman_solve if algorithm == "bellman" else mda_solve
-    result = solve(instance, mode, drop_infeasible=args.drop_infeasible)
+    result = solve(instance, SolveMode(variant), drop_infeasible=args.drop_infeasible)
 
+    # A generator, so that rendering includes path reconstruction.
+    triples = ([(lab.weight, reconstruct_path(lab), lab.length) for lab in f] for f in result.frontiers)
     doc = {
         "format_version": FORMAT_VERSION,
         "command": "solve",
@@ -247,7 +243,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "variant": variant,
         "status": result.status,
         "final": result.status != GUARD_HIT,
-        "frontiers": _frontier_docs(instance, result),
+        "frontiers": _frontier_docs(instance.space, triples),
         "statistics": result.stats.to_dict(),
         "iteration_sizes": result.iteration_sizes,
     }
@@ -268,12 +264,7 @@ _CONDITION_RUNNERS = {
     "history-free": lambda inst, d, paths: check_history_free(inst, d, paths=paths),
     "independent": lambda inst, d, paths: check_independence(inst, d, "strict", paths),
     "weakly-independent": lambda inst, d, paths: check_independence(inst, d, "weak", paths),
-    "arc-non-decreasing": lambda inst, d, paths: check_monotonicity(inst, d, "arc-non-decreasing", paths),
-    "arc-increasing": lambda inst, d, paths: check_monotonicity(inst, d, "arc-increasing", paths),
-    "strict-arc": lambda inst, d, paths: check_monotonicity(inst, d, "strict-arc", paths),
-    "cycle-non-decreasing": lambda inst, d, paths: check_monotonicity(inst, d, "cycle-non-decreasing", paths),
-    "cycle-increasing": lambda inst, d, paths: check_monotonicity(inst, d, "cycle-increasing", paths),
-    "strict-cycle": lambda inst, d, paths: check_monotonicity(inst, d, "strict-cycle", paths),
+    **{k: lambda inst, d, paths, k=k: check_monotonicity(inst, d, k, paths) for k in MONOTONICITY_KINDS},
     "subpath-optimal": lambda inst, d, paths: check_subpath_optimality(inst, d, "strong", paths),
     "weakly-subpath-optimal": lambda inst, d, paths: check_subpath_optimality(inst, d, "weak", paths),
     "linear-extension": lambda inst, d, paths: check_linear_extension(inst, d, paths=paths),
@@ -341,12 +332,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.max_len < 0:
         raise ValidationError(f"--max-len must be non-negative, got {args.max_len}")
     instance = parse_instance(_load_document(args.file))
-    mode = SolveMode.MIN if args.variant == "min" else SolveMode.MAX
-    result = brute_force_frontier(instance, args.max_len, mode)
-    docs = []
-    for v in range(instance.vertex_count):
-        triples = [(e.weight, e.path, len(e.path) - 1) for e in result.entries[v]]
-        docs.append({"vertex": v, "entries": _entry_docs(instance.space, triples)})
+    result = brute_force_frontier(instance, args.max_len, SolveMode(args.variant))
+    triples = ([(e.weight, e.path, len(e.path) - 1) for e in found] for found in result.entries)
     _emit(
         {
             "format_version": FORMAT_VERSION,
@@ -354,7 +341,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "instance": instance.name,
             "variant": args.variant,
             "max_len": result.max_len,
-            "frontiers": docs,
+            "frontiers": _frontier_docs(instance.space, triples),
             "node_count": result.node_count,
         }
     )
@@ -426,17 +413,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _check_kn_size(n, m)
         instance = kn_instance(n, m)
         result = bellman_solve(instance, SolveMode.MIN)
+        header = {"format_version": FORMAT_VERSION, "command": "bench", "suite": "kn-worst-case", "n": n, "m": m}
         for idx, total in enumerate(result.iteration_sizes):
             k = idx + 1
             prediction = sum(n**i for i in range(1, k + 1)) if k <= m - 1 else None
             nontrivial = total - 1
             _emit(
                 {
-                    "format_version": FORMAT_VERSION,
-                    "command": "bench",
-                    "suite": "kn-worst-case",
-                    "n": n,
-                    "m": m,
+                    **header,
                     "record": "iteration",
                     "iteration": k,
                     "frontier_total": total,
@@ -449,11 +433,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
         _emit(
             {
-                "format_version": FORMAT_VERSION,
-                "command": "bench",
-                "suite": "kn-worst-case",
-                "n": n,
-                "m": m,
+                **header,
                 "record": "final",
                 "status": result.status,
                 "sizes": [len(f) for f in result.frontiers],

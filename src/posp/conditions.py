@@ -24,14 +24,11 @@ evaluates each distinct update (weight, arc) and each distinct comparison
 both are functions of their arguments.  `check_history_free` is the checker
 that tests the assumption, so it alone calls the raw `update`.
 
-`recommend_algorithm` evaluates declared properties against the selection
-table: each row lists the properties that must be declared (closed under the
+`evaluate_table` evaluates declared properties against the selection table:
+each row lists the properties that must be declared (closed under the
 implications) for an algorithm/problem combination to be safe, the further
 properties those imply, and whether the label-setting solver additionally
-needs a monotone linear extension.  The linear-extension requirement does not
-gate row listing — it is a solve-time prerequisite checked against the weight
-space — so recommendations stay meaningful for spaces whose linear extension
-is supplied separately.
+needs a monotone linear extension.
 """
 
 from __future__ import annotations
@@ -46,8 +43,8 @@ from .core import (
     CYCLE_INCREASING,
     CYCLE_NON_DECREASING,
     EQUAL,
-    GREATER,
     HISTORY_FREE,
+    INCOMPARABLE,
     INDEPENDENT,
     LEO_MONOTONE,
     LESS,
@@ -231,6 +228,7 @@ def check_independence(
     if mode not in ("strict", "weak"):
         raise ValidationError(f"unknown independence mode {mode!r}")
     name = INDEPENDENT if mode == "strict" else WEAKLY_INDEPENDENT
+    accept = _ACCEPTS[name]
     sample = paths or PathSample(instance)
     reps = sample.representatives(depth)
     space = sample.space
@@ -248,8 +246,7 @@ def check_independence(
                     e_lo = space.update(w_lo, arc)
                     e_hi = space.update(w_hi, arc)
                     rel = space.comparator(e_lo, e_hi)
-                    ok = rel is LESS if mode == "strict" else rel in (LESS, EQUAL)
-                    if not ok:
+                    if rel not in accept:
                         return ConditionReport(
                             name=name,
                             verdict=VIOLATED,
@@ -271,18 +268,29 @@ def check_independence(
     return ConditionReport(name, HOLDS, depth)
 
 
-_ARC_KINDS = {
-    "arc-non-decreasing": lambda rel: rel is not GREATER,
-    "arc-increasing": lambda rel: rel in (LESS, EQUAL),
-    "strict-arc": lambda rel: rel is LESS,
+# The relations each condition accepts (see its checker for what it compares).
+_ACCEPTS = {
+    INDEPENDENT: (LESS,),
+    WEAKLY_INDEPENDENT: (LESS, EQUAL),
+    "arc-non-decreasing": (LESS, EQUAL, INCOMPARABLE),
+    "arc-increasing": (LESS, EQUAL),
+    "strict-arc": (LESS,),
+    "cycle-non-decreasing": (LESS, EQUAL, INCOMPARABLE),
+    "cycle-increasing": (LESS, EQUAL),
+    "strict-cycle": (LESS,),
 }
-_CYCLE_KINDS = {
-    "cycle-non-decreasing": lambda rel: rel is not GREATER,
-    "cycle-increasing": lambda rel: rel in (LESS, EQUAL),
-    "strict-cycle": lambda rel: rel is LESS,
-}
+MONOTONICITY_KINDS = tuple(_ACCEPTS)[2:]  # three arc kinds, then three cycle kinds
 
-MONOTONICITY_KINDS = tuple(_ARC_KINDS) + tuple(_CYCLE_KINDS)
+
+def _arc_extensions(sample: PathSample, depth: int):
+    """(path, weight, arc, extended weight) for every representative path of
+    at most depth - 1 arcs and every arc leaving its end, in sample order."""
+    instance, update = sample.instance, sample.space.update
+    reps = sample.representatives(depth - 1)
+    for v in range(instance.vertex_count):
+        for path, w in reps[v]:
+            for arc in instance.out_arcs(v):
+                yield path, w, arc, update(w, arc)
 
 
 def check_monotonicity(
@@ -298,9 +306,9 @@ def check_monotonicity(
     kinds extend it by every closed walk at its head, total length at most
     the depth: those extensions are sample paths of at most depth arcs.
     """
-    accept = _ARC_KINDS.get(kind) or _CYCLE_KINDS.get(kind)
-    if accept is None:
+    if kind not in MONOTONICITY_KINDS:
         raise ValidationError(f"unknown monotonicity kind {kind!r}")
+    accept = _ACCEPTS[kind]
     sample = paths or PathSample(instance)
     space = sample.space
 
@@ -309,15 +317,11 @@ def check_monotonicity(
         witness = {"path": list(path), step: list(where), "weights": weights, "relation": rel.value}
         return ConditionReport(kind, VIOLATED, depth, witness)
 
-    if kind in _ARC_KINDS:
-        reps = sample.representatives(depth - 1)
-        for v in range(instance.vertex_count):
-            for path, w in reps[v]:
-                for arc in instance.out_arcs(v):
-                    w2 = space.update(w, arc)
-                    rel = space.comparator(w, w2)
-                    if not accept(rel):
-                        return violated(path, w, "arc", arc.key, w2, rel)
+    if kind in MONOTONICITY_KINDS[:3]:
+        for path, w, arc, w2 in _arc_extensions(sample, depth):
+            rel = space.comparator(w, w2)
+            if rel not in accept:
+                return violated(path, w, "arc", arc.key, w2, rel)
         return ConditionReport(kind, HOLDS, depth)
 
     # The sample lists paths in depth-first preorder, so the paths extending
@@ -336,7 +340,7 @@ def check_monotonicity(
             while j < len(found) and found[j][0][:k] == path:
                 q, w2 = found[j]
                 rel = space.comparator(w, w2)
-                if not accept(rel):
+                if rel not in accept:
                     return violated(path, w, "cycle", q[k - 1 :], w2, rel)
                 j += 1
     return ConditionReport(kind, HOLDS, depth)
@@ -480,12 +484,9 @@ def check_linear_extension(
                 return violated("transitivity", a, c, via=_render(instance, sample[j]))
             rest ^= low
 
-    for v in range(instance.vertex_count):
-        for path, w in reps[v]:
-            for arc in instance.out_arcs(v):
-                w2 = space.update(w, arc)
-                if leo_pick(space, w, w2) == SECOND:
-                    return violated("arc-monotonicity", w, w2, path=list(path), arc=list(arc.key))
+    for path, w, arc, w2 in _arc_extensions(paths, depth):
+        if leo_pick(space, w, w2) == SECOND:
+            return violated("arc-monotonicity", w, w2, path=list(path), arc=list(arc.key))
     return ConditionReport("linear-extension", HOLDS, depth)
 
 
@@ -626,7 +627,12 @@ def _variant_matches(row: TableRow, variant: str) -> bool:
 def evaluate_table(
     properties: Iterable[str] | PropertySet, variant: str | None = None
 ) -> list[RowEvaluation]:
-    """Evaluate every selection-table row against a closed property set."""
+    """Evaluate every selection-table row against a closed property set.
+
+    The linear-extension column never gates a row here; running the
+    label-setting solver additionally requires the weight space to supply a
+    linear extension justified by `mda_leo_justified`.
+    """
     props = properties if isinstance(properties, PropertySet) else PropertySet(properties)
     closed = props.closed()
     out = []
@@ -636,18 +642,6 @@ def evaluate_table(
         missing = tuple(sorted(row.required - closed))
         out.append(RowEvaluation(row=row, satisfied=not missing, missing=missing))
     return out
-
-
-def recommend_algorithm(
-    properties: Iterable[str] | PropertySet, variant: str = "min"
-) -> list[TableRow]:
-    """Rows of the selection table satisfied by the declared properties.
-
-    The linear-extension column never gates a row here; running the
-    label-setting solver additionally requires the weight space to supply a
-    linear extension justified by `mda_leo_justified`.
-    """
-    return [ev.row for ev in evaluate_table(properties, variant) if ev.satisfied]
 
 
 def mda_leo_justified(closed: frozenset[str]) -> bool:

@@ -99,35 +99,19 @@ def random_instance(structure: str, seed: int) -> Instance:
     """A seeded instance of the given weight structure."""
     rng = random.Random(seed)
     name = f"{structure}-{seed}"
-    if structure == "mosp":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    if structure in ("mosp", "mosp-max"):
+        maximal = structure == "mosp-max"
+        n = rng.randint(3, 7 if maximal else 8)
+        arc_keys = _random_graph(rng, n, acyclic=maximal)
         d = 2 if seed % 2 == 0 else 3
         costs = {
             key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys
         }
         space = weights.mosp_space(d, costs)
         declared = {WELL_POSED, HISTORY_FREE, INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "mosp-max":
-        n = rng.randint(3, 7)
-        arc_keys = _random_graph(rng, n, acyclic=True)
-        d = 2 if seed % 2 == 0 else 3
-        costs = {
-            key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys
-        }
-        space = weights.mosp_space(d, costs)
-        declared = {
-            WELL_POSED,
-            HISTORY_FREE,
-            INDEPENDENT,
-            ARC_INCREASING,
-            SUBPATH_OPTIMAL,
-            MU_BOUNDED,
-            LEO_MONOTONE,
-        }
-        return build_instance(n, arc_keys, 0, space, declared, mu=n - 1, name=name)
+        if maximal:
+            declared |= {SUBPATH_OPTIMAL, MU_BOUNDED}
+        return build_instance(n, arc_keys, 0, space, declared, mu=n - 1 if maximal else None, name=name)
 
     if structure == "bottleneck":
         n = rng.randint(3, 8)

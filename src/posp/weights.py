@@ -73,6 +73,19 @@ MAX_COMPONENTS = 1_000
 # Deepest nesting of `product` spaces a document may ask for: building the
 # space, and every update and comparison, recurse once per level.
 MAX_PRODUCT_DEPTH = 32
+# Largest decimal exponent a number may carry, as in "1e1000" or "5E-1000".
+# Reading one builds 10 ** exponent exactly, in time growing faster than the
+# exponent: 0.17 s at 1,000,000 and 6.7 s at 10,000,000 on a 2-core VM.
+MAX_EXPONENT = 1_000
+
+
+def read_decimal(text: str) -> Fraction:
+    """`Fraction(text)`, refusing with ValueError an exponent past `MAX_EXPONENT`."""
+    at = max(text.rfind("e"), text.rfind("E"))
+    digits = text[at + 1 :].strip().lstrip("+-").replace("_", "").lstrip("0") if at >= 0 else ""
+    if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"exponent past {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def as_fraction(value: Any, path: str = "") -> Fraction:
@@ -90,7 +103,7 @@ def as_fraction(value: Any, path: str = "") -> Fraction:
         return Fraction(str(value))
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return read_decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"cannot parse rational {value!r}: {exc}", path) from None
     raise ValidationError(f"expected a number, got {type(value).__name__}", path)
@@ -182,10 +195,6 @@ def _payloads(arcs: Sequence[ArcItem]) -> dict[ArcKey, Any]:
 
 def _param(params: Mapping[str, Any], name: str) -> Any:
     return _req(params, name, "")
-
-
-def _int_param(params: Mapping[str, Any], name: str) -> int:
-    return _as_int(_param(params, name), name)
 
 
 def _size_param(params: Mapping[str, Any], name: str) -> int:
@@ -478,7 +487,7 @@ def subset_space(ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]])
 
 
 def _read_subset(params, arcs, source):
-    ground_set_size = _int_param(params, "ground_set_size")
+    ground_set_size = _as_int(_param(params, "ground_set_size"), "ground_set_size")
     sets = {}
     for key, payload in _payloads(arcs).items():
         if not isinstance(payload, list):

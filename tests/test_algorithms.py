@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import importlib.util
 import itertools
@@ -46,6 +47,7 @@ from posp.algorithms import (
     merge,
     nondominated_weights,
 )
+from posp.conditions import permitted_algorithms
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
 from posp.weights import (
     _vector_compare,
@@ -396,6 +398,62 @@ def test_acyclic_instances_converge_within_vertex_count_rounds():
 
 
 # ---------------------------------------------------------------------------
+# Generators.
+
+# sha256 over every structure's instances for seeds 0-199: name, vertex count,
+# arc keys, declared set, mu, max_iterations and the rendered Bellman min
+# frontiers, one JSON line per instance.  A generator that draws its random
+# numbers differently, or builds something else from them, changes it.
+GENERATOR_DIGEST = "1a92bf6232dff24508ae3e672f76d0f4c82a0be4158622b36709cf942c9080a9"
+
+
+def test_generated_instances_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for structure in MIN_STRUCTURES + MAX_STRUCTURES:
+        for seed in range(200):
+            inst = random_instance(structure, seed)
+            frontiers = bellman_solve(inst, SolveMode.MIN).frontiers
+            record = [
+                inst.name,
+                inst.vertex_count,
+                [arc.key for arc in inst.arcs],
+                sorted(inst.declared),
+                inst.mu,
+                inst.max_iterations,
+                [[inst.space.render_weight(lab.weight) for lab in f] for f in frontiers],
+            ]
+            digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GENERATOR_DIGEST
+
+
+def frontier_weight_sets(result):
+    return [{lab.weight for lab in f} for f in result.frontiers]
+
+
+@pytest.mark.parametrize("structure", MIN_STRUCTURES)
+def test_arc_order_leaves_every_frontier_weight_set_unchanged(structure):
+    # Rebuilding an instance with its arcs in another order, over the same
+    # space, changes no vertex's set of efficient weights.
+    moved = solves = 0
+    for seed in range(40):
+        inst = random_instance(structure, seed)
+        keys = [arc.key for arc in inst.arcs]
+        random.Random(seed).shuffle(keys)
+        moved += keys != [arc.key for arc in inst.arcs]
+        shuffled = build_instance(
+            inst.vertex_count, keys, inst.source, inst.space, inst.declared, inst.mu, inst.max_iterations
+        )
+        solvers = [bellman_solve]
+        if permitted_algorithms(inst.declared, "min", inst.space.leo_key is not None)["mda"]:
+            solvers.append(mda_solve)
+        for solve in solvers:
+            want = frontier_weight_sets(solve(inst, SolveMode.MIN))
+            assert frontier_weight_sets(solve(shuffled, SolveMode.MIN)) == want, (inst.name, solve.__name__)
+            solves += 1
+    assert moved >= 30 and solves > 40
+
+
+# ---------------------------------------------------------------------------
 # Label-setting solver.
 
 
@@ -420,7 +478,7 @@ def test_mda_detects_a_non_monotone_extension_with_a_witness():
     # The same instance is still fine for the fixpoint solver.
     result = bellman_solve(inst, SolveMode.MIN)
     oracle = brute_force_frontier(inst, 6, SolveMode.MIN)
-    assert frontier_weights(result, 1) == set(oracle.weights(1))
+    assert frontier_weights(result, 1) == {e.weight for e in oracle.entries[1]}
 
 
 def test_mda_matches_bellman_on_the_bundled_demos():
@@ -769,12 +827,12 @@ def test_oracle_min_matches_bellman_on_fixture_tables():
         result = bellman_solve(inst, SolveMode.MIN)
         oracle = brute_force_frontier(inst, 8, SolveMode.MIN)
         for v in range(inst.vertex_count):
-            assert frontier_weights(result, v) == set(oracle.weights(v)), (name, v)
+            assert frontier_weights(result, v) == {e.weight for e in oracle.entries[v]}, (name, v)
 
 
 def test_oracle_max_returns_every_efficient_path():
     inst = equal_weight_diamond()
     oracle = brute_force_frontier(inst, 2, SolveMode.MAX)
-    assert set(oracle.paths(3)) == {(0, 1, 3), (0, 2, 3)}
+    assert {e.path for e in oracle.entries[3]} == {(0, 1, 3), (0, 2, 3)}
     mn = brute_force_frontier(inst, 2, SolveMode.MIN)
-    assert len(mn.paths(3)) == 1
+    assert len(mn.entries[3]) == 1

@@ -285,6 +285,53 @@ def test_a_document_that_is_not_utf8_exits_two_without_a_traceback(tmp_path):
     assert r.stdout == ""
 
 
+def with_unused_field(tmp_path, literal):
+    """bottleneck_demo.json with one more field, "x", holding `literal` as written."""
+    text = posp.fixture_path("bottleneck_demo.json").read_text().rstrip()
+    path = tmp_path / "unused.json"
+    path.write_text(f'{text[:-1]}, "x": {literal}}}')
+    return path
+
+
+@pytest.mark.parametrize("literal", ["1" * 4400, "0." + "0" * 4999 + "1"], ids=["integer", "decimal"])
+def test_a_number_past_the_digit_limit_exits_two_naming_the_file(tmp_path, literal):
+    path = with_unused_field(tmp_path, literal)
+    r = run_cli("solve", str(path))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"validation error: {path} holds a number that cannot be read: ")
+    assert "4300 digits" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+# Read exactly, this exponent would take minutes: every further exponent
+# digit multiplies the time by about 30, and seven digits take seconds.
+HUGE = "1e100000000"
+
+
+def test_a_huge_decimal_exponent_in_a_json_number_exits_two_at_once(tmp_path):
+    path = with_unused_field(tmp_path, HUGE)
+    r = run_cli("solve", str(path), timeout=30)
+    assert r.returncode == 2
+    assert r.stderr == (
+        f"validation error: {path} holds a number that cannot be read: "
+        f"exponent past {posp.weights.MAX_EXPONENT} in magnitude\n"
+    )
+    assert r.stdout == ""
+
+
+def test_a_huge_decimal_exponent_in_a_string_exits_two_at_once(tmp_path):
+    doc = json.loads(posp.fixture_path("bottleneck_demo.json").read_text())
+    doc["graph"]["arcs"][0]["payload"]["additive"] = [HUGE]
+    r = run_cli("solve", write_doc(tmp_path, doc), timeout=30)
+    assert r.returncode == 2
+    assert r.stderr == (
+        f"validation error: graph.arcs[0].payload.additive: cannot parse rational {HUGE!r}: "
+        f"exponent past {posp.weights.MAX_EXPONENT} in magnitude\n"
+    )
+    assert r.stdout == ""
+
+
 def nested_product_doc(depth):
     """A one-arc document whose space nests `depth` products in their first parts."""
     space, payload = {"kind": "mosp", "params": {"dimension": 1}}, [1]
@@ -805,7 +852,7 @@ def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
     oracle = posp.algorithms.brute_force_frontier(inst, 8)
     got = [sorted(json.dumps(e["weight"]) for e in fr["entries"]) for fr in out["frontiers"]]
     want = [
-        sorted(json.dumps(inst.space.render_weight(w)) for w in oracle.weights(v))
+        sorted(json.dumps(inst.space.render_weight(e.weight)) for e in oracle.entries[v])
         for v in range(inst.vertex_count)
     ]
     assert got == want
@@ -859,6 +906,16 @@ def test_check_reports_improving_loop_violations_without_exit_five():
     assert by_name["cycle-non-decreasing"]["verdict"] == "violated"
     assert by_name["linear-extension"]["verdict"] == "violated"
     assert by_name["weakly-independent"]["verdict"] == "holds-to-depth"
+
+
+def test_check_linear_extension_exits_three_on_a_space_without_one():
+    r = run_cli("check", fixture_file("nonsimple_witness.json"), "--conditions", "linear-extension")
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == "no linear extension: weight space 'table' has no linear extension to check\n"
+    # Both places that list the exit codes name the case.
+    assert "`check --conditions linear-extension`" in README
+    assert "linear-extension audit" in cli.__doc__
 
 
 def test_check_and_oracle_reject_a_negative_depth(capsys):
@@ -1415,7 +1472,7 @@ def test_readme_document_example_parses_and_names_every_kind():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert posp.parse_instance(json.loads(example)).vertex_count == 4
     kinds = section.split("Weight-space kinds:", 1)[1].split(".", 1)[0]
-    assert tuple(re.findall(r"`([^`]+)`", kinds)) == cli.WEIGHT_SPACE_KINDS
+    assert tuple(re.findall(r"`([^`]+)`", kinds)) == tuple(SPACE_READERS)
 
 
 def test_readme_library_example_prints_what_it_shows(capsys):

@@ -28,7 +28,6 @@ from posp import (
     evaluate_table,
     mda_leo_justified,
     permitted_algorithms,
-    recommend_algorithm,
 )
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
 
@@ -309,7 +308,7 @@ def test_linear_extension_audit_equals_the_cubic_reference():
 def closed_walk_monotonicity(instance, depth, kind):
     """Reference for the cycle kinds of `check_monotonicity`: a depth-first
     search of closed walks at each representative path's head."""
-    accept = conditions._CYCLE_KINDS[kind]
+    accept = conditions._ACCEPTS[kind]
     space = instance.space
     render = space.render_weight
     reps = conditions.PathSample(instance).representatives(depth - 1)
@@ -323,7 +322,7 @@ def closed_walk_monotonicity(instance, depth, kind):
                 walk, cur = stack.pop()
                 if len(walk) > 1 and walk[-1] == v:
                     rel = space.comparator(w, cur)
-                    if not accept(rel):
+                    if rel not in accept:
                         witness = {
                             "path": list(path),
                             "cycle": list(walk),
@@ -349,7 +348,7 @@ def test_cycle_kinds_equal_the_closed_walk_reference():
     seen = set()
     for inst in instances:
         for depth in range(8):
-            for kind in conditions._CYCLE_KINDS:
+            for kind in conditions.MONOTONICITY_KINDS[3:]:
                 want = closed_walk_monotonicity(inst, depth, kind).to_dict()
                 assert check_monotonicity(inst, depth, kind).to_dict() == want, (inst.name, depth, kind)
                 seen.add((kind, want["verdict"]))
@@ -357,7 +356,7 @@ def test_cycle_kinds_equal_the_closed_walk_reference():
     # One sample serves all three kinds and every depth below its own.
     sample = conditions.PathSample(instances[0])
     for depth in range(7, -1, -1):
-        for kind in conditions._CYCLE_KINDS:
+        for kind in conditions.MONOTONICITY_KINDS[3:]:
             got = check_monotonicity(instances[0], depth, kind, paths=sample).to_dict()
             assert got == closed_walk_monotonicity(instances[0], depth, kind).to_dict()
     assert sample.depth == 7
@@ -400,8 +399,12 @@ def test_the_table_has_twenty_four_rows():
     assert all(r.problem in ("min", "max", "complete") for r in TABLE_ROWS)
 
 
+def satisfied_rows(properties, variant):
+    return [ev.row for ev in evaluate_table(properties, variant) if ev.satisfied]
+
+
 def rows_by_algorithm(props, variant):
-    rows = recommend_algorithm(props, variant)
+    rows = satisfied_rows(props, variant)
     return (
         sorted(r.index for r in rows if r.algorithm == "bellman"),
         sorted(r.index for r in rows if r.algorithm == "mda"),
@@ -435,8 +438,8 @@ def test_bounded_subpath_optimal_instances_cover_the_max_rows():
     st.sampled_from(["min", "max"]),
 )
 def test_more_declarations_never_remove_rows(a, b, variant):
-    small = recommend_algorithm(a, variant)
-    big = recommend_algorithm(a | b, variant)
+    small = satisfied_rows(a, variant)
+    big = satisfied_rows(a | b, variant)
     assert {r.index for r in small} <= {r.index for r in big}
 
 
@@ -460,7 +463,7 @@ def test_mda_needs_a_justified_extension_not_just_a_key():
 
 
 def table_permitted(properties, variant, has_leo):
-    rows = recommend_algorithm(properties, variant)
+    rows = satisfied_rows(properties, variant)
     return {
         "bellman": any(r.algorithm == "bellman" for r in rows),
         "mda": any(r.algorithm == "mda" for r in rows)

@@ -18,6 +18,7 @@ from posp import (
     ValidationError,
 )
 from posp.weights import (
+    MAX_EXPONENT,
     ChargeCurve,
     TravelTimeTable,
     as_fraction,
@@ -29,6 +30,7 @@ from posp.weights import (
     kn_space,
     mosp_space,
     product_space,
+    read_decimal,
     render_rational,
     subset_space,
     table_space,
@@ -60,6 +62,20 @@ def test_as_fraction_rejects_bool_and_junk():
         as_fraction([1])
     with pytest.raises(ValidationError):
         as_fraction("three")
+
+
+def test_decimal_exponents_are_read_up_to_the_limit():
+    assert read_decimal(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert read_decimal(f"5E-{MAX_EXPONENT}") == F(5, 10**MAX_EXPONENT)
+    assert read_decimal(f"2.5e+000{MAX_EXPONENT} ") == F(25, 10) * 10**MAX_EXPONENT
+    # Python's Fraction also reads underscores and non-ASCII digits.
+    for text in (f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", "1e1_000_000", "1e\u06610000"):
+        with pytest.raises(ValueError, match="exponent past"):
+            read_decimal(text)
+    with pytest.raises(ValueError, match="exponent past"):
+        read_decimal("1e" + "9" * 5000)  # past the int/str digit limit too
+    with pytest.raises(ValidationError, match="exponent past"):
+        as_fraction(f"3e{MAX_EXPONENT + 1}")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

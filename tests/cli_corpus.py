@@ -3,7 +3,8 @@
 The documents are the bundled fixtures and the seed-1 documents of the
 `structure-docs` and `grid-mosp` benchmark workloads, rebuilt from
 `perfbench/workloads.py`.  Every document goes through `solve` (automatic
-choice, `--variant max`, and forced `bellman` and `mda` in both variants) and
+choice, `--variant max`, forced `bellman` and `mda` in both variants, and
+`--drop-infeasible` with the automatic choice and with forced `mda`) and
 `recommend`, and every document but the grids through `check` and `oracle`,
 in process, with `POSP_BUDGET` unset.  (On the grids those two take four
 fifths of the corpus's time and exercise nothing the small documents do not.)
@@ -40,6 +41,8 @@ RUNS = (
     ("solve", "--algorithm", "bellman", "--force", "--variant", "max"),
     ("solve", "--algorithm", "mda", "--force"),
     ("solve", "--algorithm", "mda", "--force", "--variant", "max"),
+    ("solve", "--drop-infeasible"),
+    ("solve", "--algorithm", "mda", "--force", "--drop-infeasible"),
     ("recommend",),
 )
 AUDITS = (("check",), ("oracle",))

@@ -57,7 +57,6 @@ from .algorithms import (
     enumerate_source_paths,
     enumeration_budget,
     mda_solve,
-    merge,
     nondominated_weights,
 )
 from .conditions import (

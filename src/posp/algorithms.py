@@ -11,9 +11,10 @@ of labels:
   space's linear extension holds every candidate label; a popped label that
   no permanent label of its vertex dominates becomes permanent.
 
-Both apply one dominance rule, `_scan`: Bellman through `merge`, MDA to
-filter candidates and audit popped labels.  A comparator may carry its own
-kernel for that rule (see `_scan`).
+Both apply one dominance rule, `_scan`: Bellman to merge candidates into a
+frontier, MDA to filter candidates and audit popped labels.  A comparator
+may carry its own kernel for that rule, and an index that answers it for
+MDA's permanent labels (see `_scan`).
 
 `brute_force_frontier` is the oracle both are tested against: plain DFS path
 enumeration up to a length cap followed by a pairwise dominance filter.  Its
@@ -108,9 +109,11 @@ def _scan(
 
     A comparator may carry a kernel for this rule as its `scan` attribute,
     called like `_scan` and returning and counting what `_scan` would; the
-    solvers use it when present.  It belongs to the comparator object, so a
-    view of a space that replaces the comparator runs `_scan` through the
-    replacement.
+    solvers use it when present.  It may also carry an `index`: a factory
+    of such kernels, each kept for one list of labels that only grows,
+    which `mda_solve` makes one of per vertex for its permanent labels.
+    Both belong to the comparator object, so a view of a space that
+    replaces the comparator runs `_scan` through the replacement.
     """
     beaten = []
     compared = 0
@@ -124,56 +127,6 @@ def _scan(
             break
     stats.comparisons += compared
     return beaten
-
-
-def merge(
-    space: WeightSpace,
-    frontier: list[Label],
-    candidates: list[Label],
-    mode: SolveMode = SolveMode.MIN,
-    stats: SolveStats | None = None,
-) -> list[Label]:
-    """Merge candidates into a frontier, keeping what the mode calls efficient.
-
-    Min mode keeps one label per nondominated weight: incumbents win ties
-    against candidates, and earlier candidates win ties against later ones.
-    Max mode keeps every path whose weight is not strictly dominated; a path
-    already in the frontier (identified by its predecessor chain) is not
-    added again, which is what makes the fixed point detectable.
-
-    One `_scan` per candidate over the current result: a kept candidate
-    evicts the incumbents it strictly beats and is appended.  The result,
-    its order and the `dead` flags are those of a rejection pass followed by
-    an eviction pass.  That needs no transitivity, only a dual comparator
-    (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS), which every
-    `WeightSpace` provides.  Comparisons are added to `stats` when given.
-    """
-    cmp = space.comparator
-    scan = getattr(cmp, "scan", _scan)
-    keep_equal = mode is SolveMode.MAX
-    if stats is None:
-        stats = SolveStats()
-    result = list(frontier)
-    ids = {lab.path_id() for lab in result} if keep_equal else None
-    for cand in candidates:
-        if keep_equal and cand.path_id() in ids:
-            beaten = None
-        else:
-            beaten = scan(cmp, result, cand.weight, keep_equal, stats)
-        if beaten is None:
-            cand.dead = True
-            continue
-        if beaten:
-            for r in beaten:
-                r.dead = True
-            if keep_equal:
-                ids.difference_update(r.path_id() for r in beaten)
-            gone = set(beaten)
-            result = [r for r in result if r not in gone]
-        result.append(cand)
-        if keep_equal:
-            ids.add(cand.path_id())
-    return result
 
 
 def iteration_guard(instance: Instance) -> int:
@@ -213,6 +166,20 @@ def bellman_solve(
     ``antisymmetric-quasi-transitive``, and then every round re-extends every
     frontier.
 
+    The merge keeps what the mode calls efficient.  Min mode keeps one
+    label per nondominated weight: incumbents win ties against candidates,
+    and earlier candidates win ties against later ones.  Max mode keeps
+    every path whose weight is not strictly dominated; a path already in the
+    frontier (identified by its predecessor chain) is not added again, which
+    is what makes the fixed point detectable.  Candidates come in in-arc
+    order, then in the order of their tail's labels; each draws a serial and
+    runs one `_scan` over the current frontier.  A kept candidate becomes a
+    label, evicts the incumbents it strictly beats and is appended; no label
+    is built for a rejected one.  The frontier, its order and the `dead`
+    flags are those of a rejection pass followed by an eviction pass.  That
+    needs no transitivity, only a dual comparator (`cmp(a, b)` is GREATER
+    exactly when `cmp(b, a)` is LESS), which every `WeightSpace` provides.
+
     The iteration guard is `iteration_guard(instance)`; hitting it
     yields a result with status "iteration-guard-hit" whose frontiers are
     not final.
@@ -221,6 +188,9 @@ def bellman_solve(
     space = instance.space
     semi_naive = space.relation_kind != QUASI_TRANSITIVE
     guard = iteration_guard(instance)
+    cmp = space.comparator
+    scan = getattr(cmp, "scan", _scan)
+    keep_equal = mode is SolveMode.MAX
 
     serials = itertools.count()
     root = Label(
@@ -247,30 +217,46 @@ def bellman_solve(
     k = 0
     while True:
         k += 1
-        sources = fresh if semi_naive else {u: f for u, f in enumerate(frontiers) if f}
+        # Copies of whole frontiers, which the merges below change in place.
+        sources = fresh if semi_naive else {u: list(f) for u, f in enumerate(frontiers) if f}
         # Only the heads of arcs leaving a source can receive candidates.
         # Visiting them in vertex order hands out the serials a visit of
         # every vertex would.
         heads = sorted({arc.head for u in sources for arc in out_arcs(u)})
         fresh = {}
         for v in heads:
-            candidates: list[Label] = []
+            frontier = frontiers[v]
+            before = len(frontier)
+            ids = {lab.path_id() for lab in frontier} if keep_equal else None
+            kept: list[Label] = []
             for arc in in_arcs(v):
                 for lab in sources.get(arc.tail, ()):
                     w = update(lab.weight, arc)
                     if infeasible is not None and infeasible(w):
                         continue
-                    candidates.append(Label(v, lab, arc, w, lab.length + 1, next(serials)))
-            if not candidates:
-                continue
-            merged = merge(space, frontiers[v], candidates, mode, stats)
-            size += len(merged) - len(frontiers[v])
-            # `merge` built a new list, so `sources` still holds the old one.
-            frontiers[v] = merged
-            # Kept candidates sit at the end of `merged`, in candidate order.
-            inserted = [c for c in candidates if not c.dead]
-            if inserted:
-                fresh[v] = inserted
+                    serial = next(serials)
+                    if keep_equal and (lab.serial, arc.index) in ids:
+                        continue
+                    beaten = scan(cmp, frontier, w, keep_equal, stats)
+                    if beaten is None:
+                        continue
+                    if beaten:
+                        for r in beaten:
+                            r.dead = True
+                        if keep_equal:
+                            ids.difference_update(r.path_id() for r in beaten)
+                        gone = set(beaten)
+                        frontier = [r for r in frontier if r not in gone]
+                    cand = Label(v, lab, arc, w, lab.length + 1, serial)
+                    frontier.append(cand)
+                    kept.append(cand)
+                    if keep_equal:
+                        ids.add((lab.serial, arc.index))
+            if kept:
+                size += len(frontier) - before
+                frontiers[v] = frontier
+                # A later kept candidate may have evicted an earlier one.
+                fresh[v] = inserted = [c for c in kept if not c.dead]
                 stats.insertions += len(inserted)
         iteration_sizes.append(size)
         if not fresh:
@@ -304,8 +290,9 @@ def mda_solve(
 
     In min mode a label is pruned by any permanent weight at or below it
     (one path per weight); in max mode only strict domination prunes, so
-    equal-weight paths accumulate.  The filter is `merge`'s `_scan` over
-    the vertex's permanent labels.  It runs when a candidate is created and
+    equal-weight paths accumulate.  The filter is Bellman's `_scan` over
+    the vertex's permanent labels, through the comparator's `index` where
+    it has one.  It runs when a candidate is created and
     again when it is popped, since its vertex may have gained permanent
     labels in between; the pop-time scan also finds the permanent labels a
     surviving label is strictly below, which is the permanence audit.
@@ -323,7 +310,6 @@ def mda_solve(
         )
     stats = SolveStats()
     cmp = space.comparator
-    scan = getattr(cmp, "scan", _scan)
     key_of = space.leo_key
     keep_equal = mode is SolveMode.MAX
     guard = iteration_guard(instance)
@@ -331,6 +317,10 @@ def mda_solve(
 
     n = instance.vertex_count
     permanents: list[list[Label]] = [[] for _ in range(n)]
+    # Per vertex, the scan over its permanent labels: a fresh `index` of the
+    # comparator where it has one, else its `scan` (see `_scan`).
+    index = getattr(cmp, "index", None)
+    scans = [index() for _ in range(n)] if index else [getattr(cmp, "scan", _scan)] * n
     heap: list[list] = []
     serials = itertools.count()
 
@@ -351,7 +341,7 @@ def mda_solve(
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        beaten = scan(cmp, permanents[v], label.weight, keep_equal, stats)
+        beaten = scans[v](cmp, permanents[v], label.weight, keep_equal, stats)
         if beaten is None:
             label.dead = True
             continue
@@ -392,7 +382,7 @@ def mda_solve(
             w = update(label.weight, arc)
             if infeasible is not None and infeasible(w):
                 continue
-            if scan(cmp, permanents[u], w, keep_equal, stats) is None:
+            if scans[u](cmp, permanents[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT

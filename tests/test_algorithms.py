@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import heapq
@@ -44,7 +45,6 @@ from posp.algorithms import (
     enumerate_source_paths,
     iteration_guard,
     mda_solve,
-    merge,
     nondominated_weights,
 )
 from posp.conditions import permitted_algorithms
@@ -82,51 +82,53 @@ def frontier_paths(result, v):
 
 
 # ---------------------------------------------------------------------------
-# Merges.
+# Merges: the rule `bellman_solve` applies to a vertex's candidates.
 
 
 from posp import Arc
 
-_root = Label(vertex=0, pred=None, arc=None, weight=(0,), length=0, serial=0)
+
+def _ladder(space_of, extra=()):
+    """Vertex 3 receives (3,) in round 1, two (2,) in round 2 (through 1 and
+    2) and one (2,) in round 3 (through 4 and 5); `extra` adds arcs."""
+    costs = {(0, 3): 3, (0, 1): 0, (0, 2): 0, (1, 3): 2, (2, 3): 2, (0, 4): 0, (4, 5): 0, (5, 3): 2}
+    costs.update(extra)
+    space = space_of(mosp_space(1, {key: [c] for key, c in costs.items()}))
+    return build_instance(1 + max(v for key in costs for v in key), list(costs), 0, space)
 
 
-def lab(w, serial, arc_index=0):
-    arc = Arc(arc_index, 0, 0)
-    return Label(vertex=0, pred=_root, arc=arc, weight=w, length=1, serial=serial)
+def _witnesses(result, v):
+    return [(lab.weight, reconstruct_path(lab)) for lab in result.frontiers[v]]
 
 
 def test_min_merge_prunes_dominated_and_keeps_incumbent_on_ties():
-    s = mosp_space(1, {})
-    incumbent = lab((2,), 1)
-    equal = lab((2,), 2, arc_index=1)
-    worse = lab((3,), 3, arc_index=2)
-    merged = merge(s, [incumbent], [equal, worse], SolveMode.MIN)
-    assert merged == [incumbent]  # equal candidate loses, worse one is pruned
-    assert equal.dead and worse.dead
-    better = lab((1,), 4, arc_index=3)
-    merged = merge(s, merged, [better], SolveMode.MIN)
-    assert merged == [better]
-    assert incumbent.dead
+    result = bellman_solve(_ladder(lambda s: s), SolveMode.MIN)
+    # The first (2,) evicts (3,); the second loses the tie to it, and so
+    # does the round-3 candidate to the incumbent.
+    assert _witnesses(result, 3) == [((2,), (0, 1, 3))]
+    assert result.status == CONVERGED
+    assert result.stats.insertions == 7  # the root, four in round 1, two in round 2
+    assert result.stats.comparisons == 3
 
 
 def test_max_merge_keeps_equal_weights_but_not_duplicate_paths():
-    s = mosp_space(1, {})
-    a = lab((2,), 1, arc_index=0)
-    twin = lab((2,), 2, arc_index=1)  # different last arc: a different path
-    rederived = lab((2,), 3, arc_index=1)  # same predecessor chain as twin
-    merged = merge(s, [a], [twin, rederived], SolveMode.MAX)
-    assert merged == [a, twin]
-    assert rederived.dead
-    merged = merge(s, merged, [lab((3,), 4, arc_index=2)], SolveMode.MAX)
-    assert [l.weight for l in merged] == [(2,), (2,)]  # dominated: not added
-    merged = merge(s, merged, [lab((1,), 5, arc_index=3)], SolveMode.MAX)
-    assert [l.weight for l in merged] == [(1,)]  # strictly better evicts both
+    # Declared quasi-transitive, so every round re-extends every label and
+    # re-derives every path it holds: only the path check lets it converge.
+    rederive = lambda s: dataclasses.replace(s, relation_kind=QUASI_TRANSITIVE)  # noqa: E731
+    result = bellman_solve(_ladder(rederive), SolveMode.MAX)
+    assert _witnesses(result, 3) == [((2,), (0, 1, 3)), ((2,), (0, 2, 3)), ((2,), (0, 4, 5, 3))]
+    assert result.status == CONVERGED
+    # A strictly better path, arriving in round 4, evicts all three.
+    better = {(0, 6): 0, (6, 7): 0, (7, 8): 0, (8, 3): 1}
+    result = bellman_solve(_ladder(rederive, better), SolveMode.MAX)
+    assert _witnesses(result, 3) == [((1,), (0, 6, 7, 8, 3))]
+    assert result.status == CONVERGED
 
 
 def two_pass_merge(space, frontier, candidates, mode):
-    """The rule the one-pass merge must reproduce: a rejection pass over the
-    current result, then, for a kept candidate, an eviction pass.  Returns
-    the result and the number of comparisons made."""
+    """The rule `bellman_solve`'s one-pass merge must reproduce: a rejection
+    pass over the current result, then, for a kept candidate, an eviction
+    pass.  Returns the result and the number of comparisons made."""
     compared = 0
 
     def cmp(a, b):
@@ -155,6 +157,41 @@ def two_pass_merge(space, frontier, candidates, mode):
         ids.add(cand.path_id())
         result = survivors
     return result, compared
+
+
+def two_pass_bellman(instance, mode):
+    """`bellman_solve` as it was built on `two_pass_merge`: every round makes
+    a label of each candidate of each vertex, in vertex order, and merges
+    them.  Returns the result record of `_solve_record` but for statistics,
+    and the comparisons made."""
+    space = instance.space
+    semi_naive = space.relation_kind != QUASI_TRANSITIVE
+    serials = itertools.count()
+    root = Label(instance.source, None, None, space.initial, 0, next(serials))
+    frontiers = [[] for _ in range(instance.vertex_count)]
+    frontiers[instance.source] = [root]
+    fresh = {instance.source: [root]}
+    insertions, compared, status = 1, 0, GUARD_HIT
+    for _round in range(iteration_guard(instance)):
+        sources = fresh if semi_naive else {u: f for u, f in enumerate(frontiers) if f}
+        fresh = {}
+        for v in range(instance.vertex_count):
+            candidates = [
+                Label(v, lab, arc, space.update(lab.weight, arc), lab.length + 1, next(serials))
+                for arc in instance.in_arcs(v)
+                for lab in sources.get(arc.tail, ())
+            ]
+            frontiers[v], n = two_pass_merge(space, frontiers[v], candidates, mode)
+            compared += n
+            inserted = [c for c in candidates if not c.dead]
+            if inserted:
+                fresh[v] = inserted
+                insertions += len(inserted)
+        if not fresh:
+            status = CONVERGED
+            break
+    record = [[(lab.weight, reconstruct_path(lab), lab.serial) for lab in f] for f in frontiers]
+    return (record, status, insertions), compared
 
 
 def _table(relation_kind):
@@ -202,47 +239,29 @@ MERGE_SPACES = {
 @pytest.mark.parametrize("mode", list(SolveMode))
 @pytest.mark.parametrize("name", list(MERGE_SPACES))
 def test_one_pass_merge_equals_the_two_pass_rule(name, mode):
+    # Random digraphs on 5 vertices, loops and cycles included, whose update
+    # draws each (weight, arc) a weight from a pool of 8: equal, ordered and
+    # incomparable candidates meet at every vertex.
     space, draw = MERGE_SPACES[name]
     saved = 0
     for seed in range(60):
         rng = random.Random(seed)
         pool = [draw(rng) for _ in range(8)]
 
-        def labels(picks, first_serial):
-            # One path per pool entry: equal picks re-derive the same path.
-            return [
-                Label(vertex=0, pred=_root, arc=Arc(i, 0, 0), weight=pool[i], length=1, serial=first_serial + k)
-                for k, i in enumerate(picks)
-            ]
+        def update(w, arc, seed=seed, pool=pool):
+            digest = hashlib.sha256(f"{seed}:{w!r}:{arc.index}".encode()).digest()
+            return pool[digest[0] % len(pool)]
 
-        seeded, _ = two_pass_merge(space, [], labels([rng.randrange(8) for _ in range(6)], 1), mode)
-        frontier_picks = [l.arc.index for l in seeded]  # an antichain in min mode
-        candidate_picks = [rng.randrange(8) for _ in range(rng.randint(1, 8))]
-
-        runs = []
-        for one_pass in (False, True):
-            frontier = labels(frontier_picks, 1)
-            candidates = labels(candidate_picks, 100)
-            if one_pass:
-                stats = SolveStats()
-                result = merge(space, frontier, candidates, mode, stats)
-                compared = stats.comparisons
-            else:
-                result, compared = two_pass_merge(space, frontier, candidates, mode)
-            everyone = frontier + candidates
-            runs.append(
-                (
-                    [everyone.index(r) for r in result],  # labels compare by identity
-                    [l.dead for l in everyone],
-                    compared,
-                )
-            )
-        (ref_result, ref_dead, ref_compared), (result, dead, compared) = runs
-        case = (seed, pool, frontier_picks, candidate_picks)
-        assert result == ref_result, case
-        assert dead == ref_dead, case
-        assert compared <= ref_compared, case
-        saved += ref_compared - compared
+        arcs = rng.sample([(t, h) for t in range(5) for h in range(5)], rng.randint(5, 12))
+        scripted = dataclasses.replace(space, update=update, initial=pool[0])
+        inst = build_instance(5, arcs, 0, scripted, max_iterations=4)
+        want, ref_compared = two_pass_bellman(inst, mode)
+        result = bellman_solve(inst, mode)
+        got = _solve_record(result)
+        case = (seed, pool, arcs)
+        assert (got[0], got[1], result.stats.insertions) == want, case
+        assert result.stats.comparisons <= ref_compared, case
+        saved += ref_compared - result.stats.comparisons
     assert saved > 0
 
 
@@ -276,6 +295,56 @@ def test_mosp_scan_kernel_equals_the_reference_scan(d):
             assert stats.comparisons == ref_stats.comparisons, case
             outcomes.add("rejected" if ref is None else "evicts" if ref else "kept")
     assert outcomes == {"rejected", "evicts", "kept"}
+
+
+def test_mosp_pair_index_answers_as_the_pair_scan(monkeypatch):
+    # MDA's permanent labels of a vertex arrive in lexicographic order, an
+    # antichain.  The index must answer a min-mode probe at or above the last
+    # of them, and return and count what `_pair_scan` does; a probe below it,
+    # a max-mode probe, and every probe after a label out of that order go to
+    # `_pair_scan` itself.
+    pair_scan = posp.weights._pair_scan
+    declined = []
+
+    def recorded(*args):
+        declined.append(args)
+        return pair_scan(*args)
+
+    monkeypatch.setattr(posp.weights, "_pair_scan", recorded)
+    cmp = mosp_space(2, {}).comparator
+    step = (0, Fraction(1, 2), 1, 2)
+    outcomes = collections.Counter()
+    for seed in range(200):
+        rng = random.Random(f"index:{seed}")
+        scan = cmp.index()
+        labels, top, ordered = [], (), True
+        for i in range(rng.randint(1, 10)):
+            if top and rng.random() > 0.1:
+                x = (top[0] + rng.choice(step), top[1] - rng.choice(step))  # equal when both steps are 0
+            else:
+                x = _kernel_weight(rng, 2)
+            ordered = ordered and x >= top and (not top or x[1] <= top[1])
+            labels.append(Label(0, None, None, x, 0, i))
+            top = x
+            for w in (
+                _kernel_weight(rng, 2),
+                rng.choice(labels).weight,
+                (top[0] + rng.choice(step), top[1] + rng.choice((-2, 0, 2))),
+            ):
+                for keep_equal in (False, True):
+                    ref_stats, stats = SolveStats(), SolveStats()
+                    ref = pair_scan(cmp, labels, w, keep_equal, ref_stats)
+                    del declined[:]
+                    got = scan(cmp, labels, w, keep_equal, stats)
+                    case = (seed, [lab.weight for lab in labels], w, keep_equal)
+                    assert got == ref, case  # labels compare by identity, so order counts
+                    assert stats.comparisons == ref_stats.comparisons, case
+                    answered = ordered and not keep_equal and w >= top
+                    assert not declined if answered else len(declined) == 1, case
+                    reason = "answered" if answered else "max" if keep_equal else "below" if ordered else "out-of-order"
+                    outcomes[reason, ref is None] += 1
+    assert set(outcomes) == {(r, v) for r in ("answered", "max", "below", "out-of-order") for v in (True, False)}
+    assert outcomes["answered", True] + outcomes["answered", False] > 500
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -451,6 +520,26 @@ def test_arc_order_leaves_every_frontier_weight_set_unchanged(structure):
             assert frontier_weight_sets(solve(shuffled, SolveMode.MIN)) == want, (inst.name, solve.__name__)
             solves += 1
     assert moved >= 30 and solves > 40
+
+
+@pytest.mark.parametrize("structure", MIN_STRUCTURES + MAX_STRUCTURES)
+def test_bellman_and_mda_agree_wherever_both_are_permitted(structure):
+    # Where the selection table permits both solvers, they find the same
+    # efficient weights at every vertex.
+    variants = collections.Counter()
+    for seed in range(40):
+        inst = random_instance(structure, seed)
+        for variant in ("min", "max"):
+            if not all(permitted_algorithms(inst.declared, variant, inst.space.leo_key is not None).values()):
+                continue
+            mode = SolveMode(variant)
+            bellman, mda = bellman_solve(inst, mode), mda_solve(inst, mode)
+            case = (inst.name, variant)
+            assert bellman.status == mda.status == CONVERGED, case
+            assert frontier_weight_sets(mda) == frontier_weight_sets(bellman), case
+            variants[variant] += 1
+    assert variants["min"] == 40
+    assert variants["max"] == (40 if structure in MAX_STRUCTURES else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from .algorithms import (
 )
 from .conditions import (
     DEFAULT_DEPTH,
+    HOLDS,
+    ConditionReport,
     MONOTONICITY_KINDS,
     PathSample,
     PropertySet,
@@ -46,6 +48,8 @@ from .conditions import (
     permitted_algorithms,
 )
 from .core import (
+    INDEPENDENT,
+    WEAKLY_INDEPENDENT,
     BudgetExceededError,
     DomainMismatchError,
     Instance,
@@ -90,7 +94,12 @@ def _json_default(obj: Any):
 
 def _emit(doc: dict) -> None:
     # Every emitted document is a fresh tree, so no cycle check is needed.
-    print(json.dumps(doc, separators=(",", ":"), default=_json_default, check_circular=False))
+    try:
+        text = json.dumps(doc, separators=(",", ":"), default=_json_default, check_circular=False)
+    except ValueError as exc:
+        # Sums of readable numbers can pass Python's int/str digit limit.
+        raise ValidationError(f"the result holds a number that cannot be written: {exc}") from None
+    print(text)
 
 
 def parse_instance(doc: Any) -> Instance:
@@ -301,7 +310,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             names.append("linear-extension")
 
     paths = PathSample(instance)
-    reports = [_CONDITION_RUNNERS[name](instance, depth, paths) for name in names]
+    reports = []
+    for name in names:
+        if name == WEAKLY_INDEPENDENT and any(r.name == INDEPENDENT and r.holds for r in reports):
+            # Strict independence implies weak: no second walk.
+            reports.append(ConditionReport(WEAKLY_INDEPENDENT, HOLDS, depth))
+        else:
+            reports.append(_CONDITION_RUNNERS[name](instance, depth, paths))
     # A violated report refutes the property of its own name, except the
     # linear-extension audit, which refutes leo-monotone.  The names that are
     # no property (arc-non-decreasing, strict-arc, strict-cycle) cannot be in

@@ -304,6 +304,24 @@ def test_a_number_past_the_digit_limit_exits_two_naming_the_file(tmp_path, liter
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("command", [("solve", "--force"), ("oracle",)], ids=["solve", "oracle"])
+def test_a_result_number_past_the_digit_limit_exits_two_with_nothing_on_stdout(tmp_path, command):
+    # Each cost can be read; their sum, 10^4300 * 2 - 2, cannot be written.
+    nines = int("9" * 4300)
+    doc = {
+        "format_version": 1,
+        "graph": {"vertex_count": 3, "arcs": [{"tail": t, "head": t + 1, "payload": [nines]} for t in (0, 1)]},
+        "source": 0,
+        "weight_space": {"kind": "mosp", "params": {"dimension": 1}},
+    }
+    r = run_cli(command[0], write_doc(tmp_path, doc), *command[1:])
+    assert r.returncode == 2
+    assert r.stderr.startswith("validation error: the result holds a number that cannot be written: ")
+    assert "4300 digits" in r.stderr
+    assert r.stderr.count("\n") == 1
+    assert r.stdout == ""
+
+
 # Read exactly, this exponent would take minutes: every further exponent
 # digit multiplies the time by about 30, and seven digits take seconds.
 HUGE = "1e100000000"
@@ -990,6 +1008,31 @@ def test_check_reports_equal_standalone_checker_calls(name, make, monkeypatch, c
                 STANDALONE_CHECKS[r["condition"]](instance, depth).to_dict() for r in emitted
             ]
             assert emitted == json.loads(json.dumps(standalone, default=cli._json_default))
+
+
+@pytest.mark.parametrize(
+    "fixture, selection, walks",
+    [
+        ("vector_demo.json", [], ["strict"]),
+        ("subset_catchup.json", [], ["strict", "weak"]),
+        ("vector_demo.json", ["--conditions", "weakly-independent"], ["weak"]),
+        ("vector_demo.json", ["--conditions", "weakly-independent,independent"], ["weak", "strict"]),
+    ],
+)
+def test_check_walks_weak_independence_unless_strict_holds(fixture, selection, walks, monkeypatch, capsys):
+    # Strict independence implies weak, so a holding strict report of the
+    # same run settles the weak one; its report is the walk's (see above).
+    modes = []
+    walk = cli.check_independence
+
+    def recorded(instance, depth, mode, paths):
+        modes.append(mode)
+        return walk(instance, depth, mode, paths)
+
+    monkeypatch.setattr(cli, "check_independence", recorded)
+    assert cli.main(["check", fixture_file(fixture), *selection]) == 0
+    capsys.readouterr()
+    assert modes == walks
 
 
 def load_perfbench(name):

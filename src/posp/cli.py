@@ -583,7 +583,10 @@ def main(argv: list[str] | None = None) -> int:
     except LeoMonotonicityError as exc:
         _err(f"monotonicity violation: {exc}")
         if exc.witness:
-            _err(json.dumps(exc.witness, default=_json_default))
+            try:
+                _err(json.dumps(exc.witness, default=_json_default))
+            except ValueError as err:
+                _err(f"the witness holds a number that cannot be written: {err}")
         return 5
 
 

@@ -322,6 +322,30 @@ def test_a_result_number_past_the_digit_limit_exits_two_with_nothing_on_stdout(t
     assert r.stdout == ""
 
 
+def test_a_witness_number_past_the_digit_limit_still_exits_five(tmp_path):
+    # A replenishment loop runs MDA's extraction order backwards at a cost
+    # of 2 * (10^4300 - 1), which the witness cannot write.
+    nines = int("9" * 4300)
+    arcs = [(0, 2, nines, 4, False), (2, 1, nines, 5, False), (1, 1, 0, 2, True)]
+    doc = {
+        "format_version": 1,
+        "graph": {
+            "vertex_count": 3,
+            "arcs": [
+                {"tail": t, "head": h, "payload": {"w": w, "r": r, "replenish": rep}} for t, h, w, r, rep in arcs
+            ],
+        },
+        "source": 0,
+        "weight_space": {"kind": "wcspr", "params": {"limit": 20}},
+    }
+    r = run_cli("solve", write_doc(tmp_path, doc), "--algorithm", "mda", "--force")
+    assert r.returncode == 5
+    message, witness = r.stderr.splitlines()
+    assert message == "monotonicity violation: extraction order ran backwards under the linear extension"
+    assert witness.startswith("the witness holds a number that cannot be written: ")
+    assert r.stdout == ""
+
+
 # Read exactly, this exponent would take minutes: every further exponent
 # digit multiplies the time by about 30, and seven digits take seconds.
 HUGE = "1e100000000"

@@ -175,8 +175,8 @@ def bellman_solve(
     order, then in the order of their tail's labels; each draws a serial and
     runs one `_scan` over the current frontier.  A kept candidate becomes a
     label, evicts the incumbents it strictly beats and is appended; no label
-    is built for a rejected one.  The frontier, its order and the `dead`
-    flags are those of a rejection pass followed by an eviction pass.  That
+    is built for a rejected one.  The frontier, its order and its labels'
+    `dead` flags are those of a rejection pass and an eviction pass.  That
     needs no transitivity, only a dual comparator (`cmp(a, b)` is GREATER
     exactly when `cmp(b, a)` is LESS), which every `WeightSpace` provides.
 
@@ -292,10 +292,10 @@ def mda_solve(
     (one path per weight); in max mode only strict domination prunes, so
     equal-weight paths accumulate.  The filter is Bellman's `_scan` over
     the vertex's permanent labels, through the comparator's `index` where
-    it has one.  It runs when a candidate is created and
-    again when it is popped, since its vertex may have gained permanent
-    labels in between; the pop-time scan also finds the permanent labels a
-    surviving label is strictly below, which is the permanence audit.
+    it has one.  It runs when a candidate is created and again when it is
+    popped, since its vertex may have gained permanent labels in between;
+    the pop-time scan also finds the permanent labels a surviving label is
+    strictly below, which is the permanence audit.
 
     A candidate that survives pruning but is longer than
     `iteration_guard(instance)` arcs is dropped, and the result then has

@@ -162,8 +162,8 @@ def two_pass_merge(space, frontier, candidates, mode):
 def two_pass_bellman(instance, mode):
     """`bellman_solve` as it was built on `two_pass_merge`: every round makes
     a label of each candidate of each vertex, in vertex order, and merges
-    them.  Returns the result record of `_solve_record` but for statistics,
-    and the comparisons made."""
+    them.  Returns ((frontiers as (weight, path, serial) lists, status,
+    insertions), comparisons made)."""
     space = instance.space
     semi_naive = space.relation_kind != QUASI_TRANSITIVE
     serials = itertools.count()

@@ -13,8 +13,7 @@ of labels:
 
 Both apply one dominance rule, `_scan`: Bellman to merge candidates into a
 frontier, MDA to filter candidates and audit popped labels.  A comparator
-may carry its own kernel for that rule, and an index that answers it for
-MDA's permanent labels (see `_scan`).
+may carry its own kernel for that rule (see `_scan`).
 
 `brute_force_frontier` is the oracle both are tested against: plain DFS path
 enumeration up to a length cap followed by a pairwise dominance filter.  Its
@@ -109,11 +108,9 @@ def _scan(
 
     A comparator may carry a kernel for this rule as its `scan` attribute,
     called like `_scan` and returning and counting what `_scan` would; the
-    solvers use it when present.  It may also carry an `index`: a factory
-    of such kernels, each kept for one list of labels that only grows,
-    which `mda_solve` makes one of per vertex for its permanent labels.
-    Both belong to the comparator object, so a view of a space that
-    replaces the comparator runs `_scan` through the replacement.
+    solvers use it when present.  It belongs to the comparator object, so a
+    view of a space that replaces the comparator runs `_scan` through the
+    replacement.
     """
     beaten = []
     compared = 0
@@ -291,11 +288,10 @@ def mda_solve(
     In min mode a label is pruned by any permanent weight at or below it
     (one path per weight); in max mode only strict domination prunes, so
     equal-weight paths accumulate.  The filter is Bellman's `_scan` over
-    the vertex's permanent labels, through the comparator's `index` where
-    it has one.  It runs when a candidate is created and again when it is
-    popped, since its vertex may have gained permanent labels in between;
-    the pop-time scan also finds the permanent labels a surviving label is
-    strictly below, which is the permanence audit.
+    the vertex's permanent labels.  It runs when a candidate is created and
+    again when it is popped, since its vertex may have gained permanent
+    labels in between; the pop-time scan also finds the permanent labels a
+    surviving label is strictly below, which is the permanence audit.
 
     A candidate that survives pruning but is longer than
     `iteration_guard(instance)` arcs is dropped, and the result then has
@@ -310,6 +306,7 @@ def mda_solve(
         )
     stats = SolveStats()
     cmp = space.comparator
+    scan = getattr(cmp, "scan", _scan)
     key_of = space.leo_key
     keep_equal = mode is SolveMode.MAX
     guard = iteration_guard(instance)
@@ -317,10 +314,6 @@ def mda_solve(
 
     n = instance.vertex_count
     permanents: list[list[Label]] = [[] for _ in range(n)]
-    # Per vertex, the scan over its permanent labels: a fresh `index` of the
-    # comparator where it has one, else its `scan` (see `_scan`).
-    index = getattr(cmp, "index", None)
-    scans = [index() for _ in range(n)] if index else [getattr(cmp, "scan", _scan)] * n
     heap: list[list] = []
     serials = itertools.count()
 
@@ -341,7 +334,7 @@ def mda_solve(
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        beaten = scans[v](cmp, permanents[v], label.weight, keep_equal, stats)
+        beaten = scan(cmp, permanents[v], label.weight, keep_equal, stats)
         if beaten is None:
             label.dead = True
             continue
@@ -382,7 +375,7 @@ def mda_solve(
             w = update(label.weight, arc)
             if infeasible is not None and infeasible(w):
                 continue
-            if scans[u](cmp, permanents[u], w, keep_equal, stats) is None:
+            if scan(cmp, permanents[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT

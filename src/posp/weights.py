@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -314,48 +313,8 @@ def _triple_scan(cmp, labels, w, keep_equal, stats):
     return beaten
 
 
-def _pair_index():
-    """A `_pair_scan` for the permanent labels of one vertex in MDA, a list
-    that only grows: it returns and counts what `_pair_scan` would, by
-    bisection where it can (BOA*'s test, Hernández et al., ICAPS 2020).
-
-    While each label taken in is lexicographically at or above the last,
-    `top`, with a second component no larger, a label is at or below a
-    min-mode weight w >= `top` exactly when its second component is at or
-    below w's; those labels form a suffix, and none is strictly above w.
-    Other calls, and all calls after a label out of that order, go to
-    `_pair_scan`.
-    """
-    neg = []  # the second components taken in, negated: nondecreasing
-    top = ()  # the last weight taken in; () is below every weight
-    ordered = True
-
-    def scan(cmp, labels, w, keep_equal, stats):
-        nonlocal top, ordered
-        n = len(neg)
-        while n < len(labels) and ordered:
-            x = labels[n].weight
-            if x < top or (n and x[1] > top[1]):
-                ordered = False
-            else:
-                neg.append(-x[1])
-                top = x
-                n += 1
-        if ordered and not keep_equal and w >= top:
-            i = bisect_left(neg, -w[1])
-            if i < n:
-                stats.comparisons += i + 1
-                return None
-            stats.comparisons += n
-            return []
-        return _pair_scan(cmp, labels, w, keep_equal, stats)
-
-    return scan
-
-
 _pair_compare = functools.partial(_vector_compare)
 _pair_compare.scan = _pair_scan
-_pair_compare.index = _pair_index
 _triple_compare = functools.partial(_vector_compare)
 _triple_compare.scan = _triple_scan
 
@@ -364,9 +323,8 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
     """Cost vectors added along arcs, ordered componentwise (smaller is better).
 
     The linear extension is the lexicographic order on the vectors.  Pairs
-    and triples get unrolled kernels for the dominance scan and the update,
-    and pairs an index for MDA (`_pair_index`); every other dimension uses
-    `_vector_compare` and `algorithms._scan`.
+    and triples get unrolled kernels for the dominance scan and the update;
+    every other dimension uses `_vector_compare` and `algorithms._scan`.
     """
     if dimension < 1:
         raise ValidationError("dimension must be at least 1", "dimension")
@@ -376,10 +334,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
         comparator = _pair_compare
 
         def update(w, arc):
-            try:
-                c0, c1 = costs[arc.key]
-            except KeyError:
-                _arc_data(costs, arc, "mosp")  # raises MissingUpdateEntryError
+            c0, c1 = _arc_data(costs, arc, "mosp")
             w0, w1 = w
             return (w0 + c0, w1 + c1)
 
@@ -387,10 +342,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
         comparator = _triple_compare
 
         def update(w, arc):
-            try:
-                c0, c1, c2 = costs[arc.key]
-            except KeyError:
-                _arc_data(costs, arc, "mosp")  # raises MissingUpdateEntryError
+            c0, c1, c2 = _arc_data(costs, arc, "mosp")
             w0, w1, w2 = w
             return (w0 + c0, w1 + c1, w2 + c2)
 

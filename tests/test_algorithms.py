@@ -297,56 +297,6 @@ def test_mosp_scan_kernel_equals_the_reference_scan(d):
     assert outcomes == {"rejected", "evicts", "kept"}
 
 
-def test_mosp_pair_index_answers_as_the_pair_scan(monkeypatch):
-    # MDA's permanent labels of a vertex arrive in lexicographic order, an
-    # antichain.  The index must answer a min-mode probe at or above the last
-    # of them, and return and count what `_pair_scan` does; a probe below it,
-    # a max-mode probe, and every probe after a label out of that order go to
-    # `_pair_scan` itself.
-    pair_scan = posp.weights._pair_scan
-    declined = []
-
-    def recorded(*args):
-        declined.append(args)
-        return pair_scan(*args)
-
-    monkeypatch.setattr(posp.weights, "_pair_scan", recorded)
-    cmp = mosp_space(2, {}).comparator
-    step = (0, Fraction(1, 2), 1, 2)
-    outcomes = collections.Counter()
-    for seed in range(200):
-        rng = random.Random(f"index:{seed}")
-        scan = cmp.index()
-        labels, top, ordered = [], (), True
-        for i in range(rng.randint(1, 10)):
-            if top and rng.random() > 0.1:
-                x = (top[0] + rng.choice(step), top[1] - rng.choice(step))  # equal when both steps are 0
-            else:
-                x = _kernel_weight(rng, 2)
-            ordered = ordered and x >= top and (not top or x[1] <= top[1])
-            labels.append(Label(0, None, None, x, 0, i))
-            top = x
-            for w in (
-                _kernel_weight(rng, 2),
-                rng.choice(labels).weight,
-                (top[0] + rng.choice(step), top[1] + rng.choice((-2, 0, 2))),
-            ):
-                for keep_equal in (False, True):
-                    ref_stats, stats = SolveStats(), SolveStats()
-                    ref = pair_scan(cmp, labels, w, keep_equal, ref_stats)
-                    del declined[:]
-                    got = scan(cmp, labels, w, keep_equal, stats)
-                    case = (seed, [lab.weight for lab in labels], w, keep_equal)
-                    assert got == ref, case  # labels compare by identity, so order counts
-                    assert stats.comparisons == ref_stats.comparisons, case
-                    answered = ordered and not keep_equal and w >= top
-                    assert not declined if answered else len(declined) == 1, case
-                    reason = "answered" if answered else "max" if keep_equal else "below" if ordered else "out-of-order"
-                    outcomes[reason, ref is None] += 1
-    assert set(outcomes) == {(r, v) for r in ("answered", "max", "below", "out-of-order") for v in (True, False)}
-    assert outcomes["answered", True] + outcomes["answered", False] > 500
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_mosp_update_adds_and_names_a_missing_arc(d):
     space = mosp_space(d, {(0, 1): list(range(1, d + 1))})

@@ -336,7 +336,6 @@ def mda_solve(
         key, v, _serial, label = heapq.heappop(heap)
         beaten = scan(cmp, permanents[v], label.weight, keep_equal, stats)
         if beaten is None:
-            label.dead = True
             continue
 
         if last_key is not None and key < last_key:
@@ -403,17 +402,16 @@ class OracleResult:
 def enumerate_source_paths(
     instance: Instance,
     max_len: int,
-    budget: int | None = None,
     space: WeightSpace | None = None,
 ) -> tuple[list[list[tuple[tuple[int, ...], Any]]], int]:
     """All source paths of at most max_len arcs, grouped per end vertex.
 
     Depth-first, following arcs in index order; each discovered path counts
-    one node against the budget.  Weights are folded with `space`, the
+    one node against `enumeration_budget()`.  Weights are folded with `space`, the
     instance's own space unless given.  Returns (per-vertex lists of
     (path, weight) in discovery order, node count).
     """
-    cap = budget if budget is not None else enumeration_budget()
+    cap = enumeration_budget()
     space = instance.space if space is None else space
     by_vertex: list[list[tuple[tuple[int, ...], Any]]] = [
         [] for _ in range(instance.vertex_count)

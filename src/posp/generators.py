@@ -34,17 +34,25 @@ from .core import (
 )
 from . import weights
 
-MIN_STRUCTURES = (
-    "mosp",
-    "bottleneck",
-    "subset",
-    "interval",
-    "fifo_time",
-    "wcspr",
-    "evsp",
-    "tourist",
-)
-MAX_STRUCTURES = ("mosp-max", "tourist-max")
+# Each structure's vertex-count range, whether its graph is acyclic, and the
+# properties it declares beyond the well-posed, history-free and leo-monotone
+# that every structure declares.  A mu-bounded row gets mu = n - 1, except
+# evsp, whose station loops can make efficient paths longer than that; it
+# keeps mu = 10.  Max-mode structures end in "-max".
+_STRUCTURES = {
+    "mosp": (3, 8, False, (INDEPENDENT, ARC_INCREASING)),
+    "bottleneck": (3, 8, False, (WEAKLY_INDEPENDENT, ARC_INCREASING)),
+    "subset": (3, 8, False, (WEAKLY_INDEPENDENT, ARC_INCREASING)),
+    "interval": (3, 8, False, (INDEPENDENT, ARC_INCREASING)),
+    "fifo_time": (3, 8, False, (WEAKLY_INDEPENDENT, ARC_INCREASING)),
+    "wcspr": (3, 8, False, (WEAKLY_INDEPENDENT, CYCLE_NON_DECREASING)),
+    "evsp": (4, 6, True, (WEAKLY_INDEPENDENT, MU_BOUNDED)),
+    "tourist": (4, 7, True, (WEAKLY_INDEPENDENT, MU_BOUNDED)),
+    "mosp-max": (3, 7, True, (INDEPENDENT, ARC_INCREASING, SUBPATH_OPTIMAL, MU_BOUNDED)),
+    "tourist-max": (4, 7, True, (WEAKLY_INDEPENDENT, SUBPATH_OPTIMAL, MU_BOUNDED)),
+}
+MIN_STRUCTURES = tuple(s for s in _STRUCTURES if not s.endswith("-max"))
+MAX_STRUCTURES = tuple(s for s in _STRUCTURES if s.endswith("-max"))
 
 INTERVAL_SETTINGS = (
     (Fraction(-1), Fraction(1)),
@@ -74,48 +82,35 @@ def kn_instance(n: int, m: int) -> Instance:
     )
 
 
-def _random_graph(
-    rng: random.Random, n: int, acyclic: bool, allow_loops: bool = True
-) -> list[tuple[int, int]]:
+def _random_graph(rng: random.Random, n: int, acyclic: bool) -> list[tuple[int, int]]:
     chain = [(i, i + 1) for i in range(n - 1)]
     have = set(chain)
-    if acyclic:
-        candidates = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in have
-        ]
-    else:
-        candidates = [
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if (i, j) not in have and (allow_loops or i != j)
-        ]
+    candidates = [
+        (i, j) for i in range(n) for j in range(i + 1 if acyclic else 0, n) if (i, j) not in have
+    ]
     extra_count = min(len(candidates), rng.randint(1, n), 20 - len(chain))
     extras = rng.sample(candidates, extra_count) if extra_count > 0 else []
     return chain + extras
 
 
 def random_instance(structure: str, seed: int) -> Instance:
-    """A seeded instance of the given weight structure."""
-    rng = random.Random(seed)
-    name = f"{structure}-{seed}"
-    if structure in ("mosp", "mosp-max"):
-        maximal = structure == "mosp-max"
-        n = rng.randint(3, 7 if maximal else 8)
-        arc_keys = _random_graph(rng, n, acyclic=maximal)
-        d = 2 if seed % 2 == 0 else 3
-        costs = {
-            key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys
-        }
-        space = weights.mosp_space(d, costs)
-        declared = {WELL_POSED, HISTORY_FREE, INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        if maximal:
-            declared |= {SUBPATH_OPTIMAL, MU_BOUNDED}
-        return build_instance(n, arc_keys, 0, space, declared, mu=n - 1 if maximal else None, name=name)
+    """A seeded instance of the given weight structure.
 
-    if structure == "bottleneck":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    Draws come in a fixed order: the vertex count, the graph, then the
+    structure's own data.
+    """
+    if structure not in _STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}")
+    low, high, acyclic, extra = _STRUCTURES[structure]
+    rng = random.Random(seed)
+    n = rng.randint(low, high)
+    arc_keys = _random_graph(rng, n, acyclic)
+    mu = n - 1 if MU_BOUNDED in extra else None
+    kind = structure.removesuffix("-max")
+    if kind == "mosp":
+        d = 2 if seed % 2 == 0 else 3
+        space = weights.mosp_space(d, {key: [rng.randint(0, 9) for _ in range(d)] for key in arc_keys})
+    elif kind == "bottleneck":
         costs = {
             key: (
                 [rng.randint(0, 9), rng.randint(0, 9)],
@@ -124,40 +119,21 @@ def random_instance(structure: str, seed: int) -> Instance:
             for key in arc_keys
         }
         space = weights.bottleneck_space(2, 2, costs)
-        declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "subset":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    elif kind == "subset":
         ground = 4
-        sets = {
-            key: rng.sample(range(1, ground + 1), rng.randint(0, 2)) for key in arc_keys
-        }
+        sets = {key: rng.sample(range(1, ground + 1), rng.randint(0, 2)) for key in arc_keys}
         space = weights.subset_space(ground, sets)
-        declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "interval":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    elif kind == "interval":
         alpha, beta = INTERVAL_SETTINGS[seed % len(INTERVAL_SETTINGS)]
         ivs = {}
         for key in arc_keys:
             w = Fraction(rng.randint(0, 4))
-            c = w + Fraction(rng.randint(0, 5))
-            ivs[key] = (c, w)
+            ivs[key] = (w + Fraction(rng.randint(0, 5)), w)
         space = weights.interval_space(alpha, beta, ivs)
-        declared = {WELL_POSED, HISTORY_FREE, INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "fifo_time":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    elif kind == "fifo_time":
         tables = {}
         for key in arc_keys:
-            count = rng.randint(1, 3)
-            taus = sorted(rng.sample(range(0, 9), count))
+            taus = sorted(rng.sample(range(0, 9), rng.randint(1, 3)))
             bps = []
             prev_arrival = None
             for tau in taus:
@@ -168,84 +144,39 @@ def random_instance(structure: str, seed: int) -> Instance:
                 prev_arrival = tau + t
             tables[key] = bps
         space = weights.fifo_time_space(Fraction(0), tables)
-        declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, ARC_INCREASING, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "wcspr":
-        n = rng.randint(3, 8)
-        arc_keys = _random_graph(rng, n, acyclic=False)
+    elif kind == "wcspr":
         limit = rng.randint(6, 10)
-        data = {}
-        for key in arc_keys:
-            data[key] = (
-                rng.randint(1, 5),  # every arc costs something
-                rng.randint(0, limit),
-                rng.random() < 0.3,
-            )
+        data = {key: (rng.randint(1, 5), rng.randint(0, limit), rng.random() < 0.3) for key in arc_keys}
         space = weights.wcspr_space(limit, data)
-        declared = {
-            WELL_POSED,
-            HISTORY_FREE,
-            WEAKLY_INDEPENDENT,
-            CYCLE_NON_DECREASING,
-            LEO_MONOTONE,
-        }
-        return build_instance(n, arc_keys, 0, space, declared, name=name)
-
-    if structure == "evsp":
-        n = rng.randint(4, 6)
-        road_keys = _random_graph(rng, n, acyclic=True)
-        roads = {}
-        for key in road_keys:
-            t = Fraction(rng.randint(1, 5))
-            delta = Fraction(rng.randint(-2, 5), 10)
-            roads[key] = (t, delta)
-        station_count = rng.randint(0, 2)
-        stations = rng.sample(range(n), station_count) if station_count else []
+    elif kind == "evsp":
+        roads = {key: (Fraction(rng.randint(1, 5)), Fraction(rng.randint(-2, 5), 10)) for key in arc_keys}
+        stations = rng.sample(range(n), rng.randint(0, 2))
         curve_presets = (
             [(0, 0), (1, Fraction(6, 10)), (2, 1)],
             [(0, 0), (1, Fraction(7, 10)), (2, 1)],
         )
         curves = {v: curve_presets[rng.randint(0, 1)] for v in stations}
-        arc_keys = road_keys + [(v, v) for v in sorted(curves)]
+        arc_keys = arc_keys + [(v, v) for v in sorted(curves)]
         space = weights.evsp_space(
             initial_soc=Fraction(rng.randint(3, 10), 10),
             road_arcs=roads,
             station_curves=curves,
             epsilon=Fraction(1),
         )
-        declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, MU_BOUNDED, LEO_MONOTONE}
-        return build_instance(n, arc_keys, 0, space, declared, mu=10, name=name)
-
-    if structure in ("tourist", "tourist-max"):
-        n = rng.randint(4, 7)
-        arc_keys = _random_graph(rng, n, acyclic=True)
+        mu = 10
+    else:
         lengths = {key: 2**i for i, key in enumerate(arc_keys)}
         total = sum(lengths.values())
         q = rng.randint(1, 2)
         cats = [rng.randint(0, q - 1) for _ in range(n)]
         vals = [rng.randint(0, 9) for _ in range(n)]
-        if structure == "tourist":
-            budget = total // 2
-            declared = {WELL_POSED, HISTORY_FREE, WEAKLY_INDEPENDENT, MU_BOUNDED, LEO_MONOTONE}
-        else:
-            budget = total + 1
-            declared = {
-                WELL_POSED,
-                HISTORY_FREE,
-                WEAKLY_INDEPENDENT,
-                SUBPATH_OPTIMAL,
-                MU_BOUNDED,
-                LEO_MONOTONE,
-            }
         space = weights.tourist_space(
-            budget=budget,
+            budget=total // 2 if structure == "tourist" else total + 1,
             vertex_values=vals,
             vertex_categories=cats,
             category_count=q,
             arc_lengths=lengths,
             source=0,
         )
-        return build_instance(n, arc_keys, 0, space, declared, mu=n - 1, name=name)
-
-    raise ValueError(f"unknown structure {structure!r}")
+    declared = {WELL_POSED, HISTORY_FREE, LEO_MONOTONE, *extra}
+    return build_instance(n, arc_keys, 0, space, declared, mu=mu, name=f"{structure}-{seed}")

@@ -445,6 +445,11 @@ def test_generated_instances_match_the_pinned_digest():
     assert digest.hexdigest() == GENERATOR_DIGEST
 
 
+def test_random_instance_rejects_an_unknown_structure():
+    with pytest.raises(ValueError, match=r"^unknown structure 'nope'$"):
+        random_instance("nope", 0)
+
+
 def frontier_weight_sets(result):
     return [{lab.weight for lab in f} for f in result.frontiers]
 
@@ -843,10 +848,11 @@ def test_enumeration_is_preorder_and_counts_nodes():
     assert nodes == 5
 
 
-def test_enumeration_budget_is_enforced():
+def test_enumeration_budget_is_enforced(monkeypatch):
+    monkeypatch.setenv("POSP_BUDGET", "10")
     inst = kn_instance(3, 5)
     with pytest.raises(BudgetExceededError):
-        enumerate_source_paths(inst, 5, budget=10)
+        enumerate_source_paths(inst, 5)
 
 
 def test_nondominated_filter_keeps_input_order():

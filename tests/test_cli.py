@@ -151,9 +151,9 @@ def with_vertex_count(name, count):
     return doc
 
 
-def with_table_entries(value):
+def with_first_update(entry):
     doc = fixture_doc("dependent_extension.json")
-    doc["weight_space"]["params"]["updates"][0]["entries"] = value
+    doc["weight_space"]["params"]["updates"][0] = entry
     return doc
 
 
@@ -169,7 +169,7 @@ MALFORMED = {
     "evsp-3-component-curve-point": with_params(
         "evsp_demo.json", stations={"1": [[0, 0, 5], [1, 0.6], [2, 1]]}
     ),
-    "table-entries-list": with_table_entries([["0", "1"]]),
+    "table-entries-list": with_first_update({"tail": 0, "head": 1, "entries": [["0", "1"]]}),
     "table-updates-int": with_params("dependent_extension.json", updates=3),
     "table-strict-pairs-int": with_params("dependent_extension.json", strict_pairs=3),
     "tourist-scalar-categories": with_params("tourist_demo.json", categories=0),
@@ -524,6 +524,46 @@ PARAM_ERRORS = {
         as_first_part(with_params("dependent_extension.json", initial="9")),
         "weight_space.params.first.params.initial: initial weight '9' not in weight set",
     ),
+    "table-default": (
+        with_first_update({"tail": 0, "head": 1, "default": "z"}),
+        "weight_space.params.updates: default result 'z' unknown",
+    ),
+    "table-relation-kind": (
+        with_params("dependent_extension.json", relation_kind="total"),
+        "weight_space.params.relation_kind: expected 'partial-order' or 'antisymmetric-quasi-transitive', got 'total'",
+    ),
+    "evsp-station-key": (
+        with_params("evsp_demo.json", stations={"x": [[0, 0], [1, 0.6], [2, 1]]}),
+        "weight_space.params.stations: station key 'x' is not a vertex",
+    ),
+    "evsp-epsilon": (
+        with_params("evsp_demo.json", epsilon=0),
+        "weight_space.params.epsilon: epsilon must be positive",
+    ),
+    "fifo-start-time": (
+        with_params("fifo_demo.json", start_time=-1),
+        "weight_space.params.start_time: start time must be nonnegative",
+    ),
+    "tourist-category-count": (
+        with_params("tourist_demo.json", category_count=0),
+        "weight_space.params.category_count: need at least one category",
+    ),
+    "tourist-budget": (
+        with_params("tourist_demo.json", budget=-1),
+        "weight_space.params.budget: budget must be nonnegative",
+    ),
+    "tourist-negative-value": (
+        with_params("tourist_demo.json", values=[3, -5, 2, 7]),
+        "weight_space.params.values[1]: vertex values must be nonnegative",
+    ),
+    "mosp-dimension": (
+        with_params("vector_demo.json", dimension=0),
+        "weight_space.params.dimension: dimension must be at least 1",
+    ),
+    "subset-ground-set-size": (
+        with_params("subset_catchup.json", ground_set_size=-1),
+        "weight_space.params.ground_set_size: ground set size must be nonnegative",
+    ),
 }
 
 
@@ -534,6 +574,16 @@ def test_param_errors_name_the_param(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"validation error: {error}\n"
     assert captured.out == ""
+
+
+def test_a_table_update_with_only_a_default_solves_as_its_entry(tmp_path, capsys):
+    # Only weight "0" reaches arc (0, 1), so defaulting to "1" there is the
+    # fixture's own entry {"0": "1"}.
+    assert cli.main(["solve", fixture_file("dependent_extension.json")]) == 0
+    want = capsys.readouterr().out
+    doc = with_first_update({"tail": 0, "head": 1, "default": "1"})
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 0
+    assert capsys.readouterr().out == want
 
 
 # Only a missing `params` means {}; a null is no object either.

@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable
 from .core import (
     EQUAL,
     GREATER,
+    INCOMPARABLE,
     LESS,
     BudgetExceededError,
     Instance,
@@ -113,16 +114,17 @@ def _scan(
     replacement.
     """
     beaten = []
-    compared = 0
     for r in labels:
-        compared += 1
         c = cmp(r.weight, w)
+        if c is INCOMPARABLE:
+            continue
         if c is GREATER:
             beaten.append(r)
         elif c is LESS or (c is EQUAL and not keep_equal):
-            beaten = None
-            break
-    stats.comparisons += compared
+            # Labels compare by identity and a frontier holds each once.
+            stats.comparisons += labels.index(r) + 1
+            return None
+    stats.comparisons += len(labels)
     return beaten
 
 

@@ -76,7 +76,7 @@ MAX_VERTEX_COUNT = 100_000
 # 1 + n + ... + n^(m-1), and the n^2 arcs of its complete digraph.  The
 # label-correcting solve compares every candidate with its vertex's
 # frontier, so its time grows with the square of the label count: n = 2,
-# m = 13 (8,191 labels) takes about 4 s on a 2-core VM.
+# m = 13 (8,191 labels) takes about 3 s on a 2-core shared VM.
 MAX_KN_SIZE = 10_000
 
 
@@ -291,19 +291,24 @@ _DEFAULT_CONDITIONS = (
     "weakly-subpath-optimal",
 )
 
+def _option_names(option: str, value: str, known: Iterable[str]) -> list[str]:
+    """The names a comma-separated option lists; exit 2 for none or an unknown one."""
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names:
+        raise ValidationError(f"{option} names no {option[2:]}")
+    unknown = [s for s in names if s not in known]
+    if unknown:
+        raise ValidationError(f"unknown {option[2:]}: {', '.join(unknown)} (available: {', '.join(sorted(known))})")
+    return names
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     depth = args.depth
     if depth < 0:
         raise ValidationError(f"--depth must be non-negative, got {depth}")
     instance = parse_instance(_load_document(args.file))
-    if args.conditions:
-        names = [c.strip() for c in args.conditions.split(",") if c.strip()]
-        unknown = [c for c in names if c not in _CONDITION_RUNNERS]
-        if unknown:
-            raise ValidationError(
-                f"unknown conditions: {', '.join(unknown)} "
-                f"(available: {', '.join(sorted(_CONDITION_RUNNERS))})"
-            )
+    if args.conditions is not None:
+        names = _option_names("--conditions", args.conditions, _CONDITION_RUNNERS)
     else:
         names = list(_DEFAULT_CONDITIONS)
         if instance.space.leo_key is not None:
@@ -456,17 +461,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     else:
-        structures = (
-            [s.strip() for s in args.structures.split(",") if s.strip()]
-            if args.structures
-            else list(MIN_STRUCTURES)
-        )
-        known = MIN_STRUCTURES + MAX_STRUCTURES
-        unknown = [s for s in structures if s not in known]
-        if unknown:
-            raise ValidationError(
-                f"unknown structures: {', '.join(unknown)} (available: {', '.join(sorted(known))})"
-            )
+        if args.count < 0:
+            raise ValidationError(f"--count must be non-negative, got {args.count}")
+        structures = list(MIN_STRUCTURES)
+        if args.structures is not None:
+            structures = _option_names("--structures", args.structures, MIN_STRUCTURES + MAX_STRUCTURES)
         for structure in structures:
             for i in range(args.count):
                 seed = args.seed_base + i

@@ -100,28 +100,32 @@ Paths = list[list[tuple[tuple[int, ...], Any]]]
 
 def _memoized(space: WeightSpace) -> WeightSpace:
     """`space` with `update` and `comparator` evaluated once per distinct
-    arguments.  A call that raises stores nothing, so it raises again."""
+    arguments, keyed by identity: update results are interned, so equal
+    weights are one object, and each entry holds its key objects, so their
+    ids stay unique.  A call that raises stores nothing, so it raises again."""
     update, comparator = space.update, space.comparator
-    updated: dict[tuple[Any, int], Any] = {}
-    compared: dict[tuple[Any, Any], Any] = {}
+    canon = {space.initial: space.initial}
+    updated: dict[tuple[int, int], tuple] = {}
+    compared: dict[tuple[int, int], tuple] = {}
 
     def memo_update(w, arc):
-        key = (w, arc.index)
+        key = (id(w), arc.index)
         try:
-            return updated[key]
+            return updated[key][0]
         except KeyError:
             pass
-        result = updated[key] = update(w, arc)
-        return result
+        result = update(w, arc)
+        updated[key] = entry = (canon.setdefault(result, result), w)
+        return entry[0]
 
     def memo_comparator(a, b):
-        key = (a, b)
+        key = (id(a), id(b))
         try:
-            return compared[key]
+            return compared[key][0]
         except KeyError:
             pass
-        result = compared[key] = comparator(a, b)
-        return result
+        compared[key] = entry = (comparator(a, b), a, b)
+        return entry[0]
 
     return dataclasses.replace(space, update=memo_update, comparator=memo_comparator)
 

@@ -1234,14 +1234,14 @@ def kn_space(n: int, m: int, source: int) -> WeightSpace:
         raise ValidationError("need n >= 1 and m >= 1", "kn")
     if not (0 <= source < n):
         raise ValidationError("source out of range", "kn")
-    bottom: tuple = ()
+    bottom: tuple = ()  # the only empty weight, so `not w` tests for it
 
     def comparator(a, b):
         if a == b:
             return EQUAL
-        if a == bottom:
+        if not a:
             return LESS
-        if b == bottom:
+        if not b:
             return GREATER
         return INCOMPARABLE
 

@@ -297,6 +297,73 @@ def test_mosp_scan_kernel_equals_the_reference_scan(d):
     assert outcomes == {"rejected", "evicts", "kept"}
 
 
+def _counting_scan(cmp, labels, w, keep_equal, stats):
+    # The generic scan as it stood when it counted each pair as it compared
+    # it, frozen as the reference for the scan that counts on exit.
+    beaten = []
+    compared = 0
+    for r in labels:
+        compared += 1
+        c = cmp(r.weight, w)
+        if c is GREATER:
+            beaten.append(r)
+        elif c is LESS or (c is EQUAL and not keep_equal):
+            beaten = None
+            break
+    stats.comparisons += compared
+    return beaten
+
+
+def test_generic_scan_equals_the_counting_reference():
+    # Stub comparators replay seeded verdicts, None among them: anything
+    # other than GREATER, LESS or EQUAL counts as incomparable.
+    verdicts = (GREATER, LESS, EQUAL, INCOMPARABLE, None)
+    outcomes = set()
+    for seed in range(400):
+        rng = random.Random(f"scan:{seed}")
+        labels = [Label(0, None, None, i, 0, i) for i in range(rng.randint(0, 10))]
+        script = [rng.choice(verdicts) for _ in labels]
+        calls = []
+
+        def cmp(a, _w, script=script, calls=calls):
+            calls.append(a)
+            return script[a]
+
+        for keep_equal in (False, True):
+            ref_stats, stats = SolveStats(), SolveStats()
+            ref = _counting_scan(cmp, labels, "w", keep_equal, ref_stats)
+            calls.clear()
+            got = _scan(cmp, labels, "w", keep_equal, stats)
+            case = (seed, script, keep_equal)
+            assert got == ref, case  # labels compare by identity, so order counts
+            assert stats.comparisons == ref_stats.comparisons == len(calls), case
+            outcomes.add("rejected" if ref is None else "evicts" if ref else "kept")
+    assert outcomes == {"rejected", "evicts", "kept"}
+
+
+def test_kn_comparator_follows_its_definition():
+    def definition(a, b):
+        if a == b:
+            return EQUAL
+        if a == ():
+            return LESS
+        if b == ():
+            return GREATER
+        return INCOMPARABLE
+
+    cmp = kn_instance(3, 4).space.comparator
+    rng = random.Random("kn-comparator")
+    pool = [(), *(tuple(rng.randrange(3) for _ in range(rng.randint(1, 4))) for _ in range(40))]
+    # Equal tuples made apart, so that equality is not identity.
+    pool += [tuple(list(w)) for w in pool[:10]]
+    seen = set()
+    for a in pool:
+        for b in pool:
+            assert cmp(a, b) is definition(a, b), (a, b)
+            seen.add(definition(a, b))
+    assert seen == {EQUAL, LESS, GREATER, INCOMPARABLE}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_mosp_update_adds_and_names_a_missing_arc(d):
     space = mosp_space(d, {(0, 1): list(range(1, d + 1))})

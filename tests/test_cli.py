@@ -986,6 +986,11 @@ def test_check_condition_filter_and_unknown_names(tmp_path):
     assert [rep["condition"] for rep in doc["reports"]] == ["history-free"]
     r = run_cli("check", fixture_file("improving_loop.json"), "--conditions", "nope")
     assert r.returncode == 2
+    # A list that names nothing runs no checker: it is refused, not an empty report.
+    for empty in (",", "", " , "):
+        r = run_cli("check", fixture_file("improving_loop.json"), "--conditions", empty)
+        assert (r.returncode, r.stdout) == (2, ""), empty
+        assert r.stderr == "validation error: --conditions names no conditions\n", empty
 
 
 def test_check_reports_improving_loop_violations_without_exit_five():
@@ -1018,6 +1023,9 @@ def test_check_and_oracle_reject_a_negative_depth(capsys):
     assert captured.out == ""
     assert "--depth must be non-negative" in captured.err
     assert "--max-len must be non-negative" in captured.err
+    assert cli.main(["bench", "--suite", "random", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "validation error: --count must be non-negative, got -1\n")
     assert cli.main(["check", path, "--depth", "0"]) == 0
     assert cli.main(["oracle", path, "--max-len", "0"]) == 0
 
@@ -1164,16 +1172,37 @@ def test_traced_check_enumerates_once(selection, checkers, capsys):
         assert metrics["conditions.leo_picks"] > 0
 
 
+ZERO_COST_CYCLE = {
+    "format_version": 1,
+    "name": "zero-cost-cycle",
+    "graph": {
+        "vertex_count": 3,
+        "arcs": [
+            {"tail": 0, "head": 1, "payload": [0, 0]},
+            {"tail": 1, "head": 0, "payload": [0, 0]},
+            {"tail": 0, "head": 2, "payload": [1, 2]},
+            {"tail": 1, "head": 2, "payload": [2, 1]},
+        ],
+    },
+    "source": 0,
+    "weight_space": {"kind": "mosp", "params": {"dimension": 2}},
+    "declared_properties": ["well-posed", "history-free", "leo-monotone"],
+}
+
+
 @pytest.mark.parametrize(
     "fixture, updates, raw_updates, comparisons",
     [
         ("evsp_demo.json", 20, 0, 180),
         ("subset_catchup.json", 6, 0, 8),
         ("nonsimple_witness.json", 18, 11, 8),
+        # A zero-cost cycle through the source: 0 -> 1 -> 0 brings back a
+        # weight equal to `space.initial` as a new object.
+        pytest.param(ZERO_COST_CYCLE, 18, 14, 7, id="zero-cost-cycle"),
     ],
 )
 def test_check_evaluates_each_update_once(
-    fixture, updates, raw_updates, comparisons, monkeypatch, capsys
+    fixture, updates, raw_updates, comparisons, monkeypatch, capsys, tmp_path
 ):
     # The parsed space is wrapped the way the benchmark's tracer wraps it, so
     # these are the calls `weights.update_calls` and `compare_calls` count.
@@ -1203,7 +1232,8 @@ def test_check_evaluates_each_update_once(
         return dataclasses.replace(instance, space=counted)
 
     monkeypatch.setattr(cli, "parse_instance", counting_parse)
-    assert cli.main(["check", fixture_file(fixture)]) == 0
+    path = fixture_file(fixture) if isinstance(fixture, str) else write_doc(tmp_path, fixture)
+    assert cli.main(["check", path]) == 0
     capsys.readouterr()
     assert set(memoized.values()) == {1}
     assert totals == {"update": updates, "raw": raw_updates, "compare": comparisons}
@@ -1547,6 +1577,10 @@ def test_bench_rejects_an_unknown_structure(capsys):
     assert "unknown structures: foo (available: " in captured.err
     assert all(s in captured.err for s in MIN_STRUCTURES + MAX_STRUCTURES)
     assert captured.out == ""
+    for empty in (",", ""):
+        assert cli.main(["bench", "--suite", "random", "--structures", empty]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "validation error: --structures names no structures\n")
 
 
 # ---------------------------------------------------------------------------

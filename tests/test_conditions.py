@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 
 import pytest
@@ -360,6 +361,25 @@ def test_cycle_kinds_equal_the_closed_walk_reference():
             got = check_monotonicity(instances[0], depth, kind, paths=sample).to_dict()
             assert got == closed_walk_monotonicity(instances[0], depth, kind).to_dict()
     assert sample.depth == 7
+
+
+def test_the_sample_memo_answers_an_equal_weight_given_as_another_object():
+    # The memo keys weights by identity; a weight equal to a memoized one but
+    # made apart from it must still update to an equal result.  Each twin is
+    # dropped at once, so the next one may take its id.
+    fresh = 0
+    for name in sorted(p.name for p in posp.fixture_path("").iterdir() if p.name.endswith(".json")):
+        instance = load_instance(name)
+        sample = conditions.PathSample(instance)
+        space = sample.space
+        for v, found in enumerate(sample.representatives(3)):
+            for arc in instance.out_arcs(v):
+                for _path, w in found:
+                    fresh += pickle.loads(pickle.dumps(w)) is not w
+                    want = instance.space.update(w, arc)
+                    assert space.update(pickle.loads(pickle.dumps(w)), arc) == want, (name, w, arc)
+                    assert space.update(w, arc) == want, (name, w, arc)
+    assert fresh > 0
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,16 @@ def bellman_solve(
     The merge keeps what the mode calls efficient.  Min mode keeps one
     label per nondominated weight: incumbents win ties against candidates,
     and earlier candidates win ties against later ones.  Max mode keeps
-    every path whose weight is not strictly dominated; a path already in the
-    frontier (identified by its predecessor chain) is not added again, which
-    is what makes the fixed point detectable.  Candidates come in in-arc
-    order, then in the order of their tail's labels; each draws a serial and
-    runs one `_scan` over the current frontier.  A kept candidate becomes a
-    label, evicts the incumbents it strictly beats and is appended; no label
-    is built for a rejected one.  The frontier, its order and its labels'
-    `dead` flags are those of a rejection pass and an eviction pass.  That
-    needs no transitivity, only a dual comparator (`cmp(a, b)` is GREATER
-    exactly when `cmp(b, a)` is LESS), which every `WeightSpace` provides.
+    every path whose weight is not strictly dominated; a round that
+    re-extends every frontier re-derives its paths, so it keeps their
+    identities and adds no path twice, which makes the fixed point
+    detectable.  Candidates come in in-arc order, then in the order of
+    their tail's labels; each draws a serial and runs one `_scan` over the
+    current frontier.  A kept candidate becomes a label, evicts the
+    incumbents it strictly beats and is appended; no label is built for a
+    rejected one.  The frontier and its order are those of a rejection pass
+    and an eviction pass.  That needs no transitivity, only a dual
+    comparator (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS).
 
     The iteration guard is `iteration_guard(instance)`; hitting it
     yields a result with status "iteration-guard-hit" whose frontiers are
@@ -190,6 +190,7 @@ def bellman_solve(
     cmp = space.comparator
     scan = getattr(cmp, "scan", _scan)
     keep_equal = mode is SolveMode.MAX
+    track_paths = keep_equal and not semi_naive
 
     serials = itertools.count()
     root = Label(
@@ -226,7 +227,7 @@ def bellman_solve(
         for v in heads:
             frontier = frontiers[v]
             before = len(frontier)
-            ids = {lab.path_id() for lab in frontier} if keep_equal else None
+            ids = {lab.path_id() for lab in frontier} if track_paths else None
             kept: list[Label] = []
             for arc in in_arcs(v):
                 for lab in sources.get(arc.tail, ()):
@@ -234,29 +235,28 @@ def bellman_solve(
                     if infeasible is not None and infeasible(w):
                         continue
                     serial = next(serials)
-                    if keep_equal and (lab.serial, arc.index) in ids:
+                    if track_paths and (lab.serial, arc.index) in ids:
                         continue
                     beaten = scan(cmp, frontier, w, keep_equal, stats)
                     if beaten is None:
                         continue
                     if beaten:
-                        for r in beaten:
-                            r.dead = True
-                        if keep_equal:
-                            ids.difference_update(r.path_id() for r in beaten)
                         gone = set(beaten)
                         frontier = [r for r in frontier if r not in gone]
+                        # A kept candidate may evict an earlier one.
+                        kept = [c for c in kept if c not in gone]
+                        if track_paths:
+                            ids.difference_update(r.path_id() for r in beaten)
                     cand = Label(v, lab, arc, w, lab.length + 1, serial)
                     frontier.append(cand)
                     kept.append(cand)
-                    if keep_equal:
+                    if track_paths:
                         ids.add((lab.serial, arc.index))
             if kept:
                 size += len(frontier) - before
                 frontiers[v] = frontier
-                # A later kept candidate may have evicted an earlier one.
-                fresh[v] = inserted = [c for c in kept if not c.dead]
-                stats.insertions += len(inserted)
+                fresh[v] = kept
+                stats.insertions += len(kept)
         iteration_sizes.append(size)
         if not fresh:
             break

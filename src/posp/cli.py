@@ -87,8 +87,6 @@ def _err(message: str) -> None:
 def _json_default(obj: Any):
     if isinstance(obj, Fraction):
         return weights.render_rational(obj)
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
@@ -125,7 +123,7 @@ def parse_instance(doc: Any) -> Instance:
     source = _as_int(_req(doc, "source", ""), "source")
     ws = _req(doc, "weight_space", "")
     kind = _req(ws, "kind", "weight_space")
-    space = build_space(kind, ws.get("params", {}), arc_items, source)
+    space = build_space(kind, ws.get("params", {}), arc_items, source, n)
     declared = doc.get("declared_properties", [])
     if not isinstance(declared, list) or not all(isinstance(d, str) for d in declared):
         raise ValidationError("declared_properties must be a list of names", "declared_properties")
@@ -279,16 +277,9 @@ _CONDITION_RUNNERS = {
     "linear-extension": lambda inst, d, paths: check_linear_extension(inst, d, paths=paths),
 }
 
-_DEFAULT_CONDITIONS = (
-    "history-free",
-    "independent",
-    "weakly-independent",
-    "arc-non-decreasing",
-    "arc-increasing",
-    "cycle-non-decreasing",
-    "cycle-increasing",
-    "subpath-optimal",
-    "weakly-subpath-optimal",
+# strict-arc and strict-cycle name no property; linear-extension needs a leo.
+_DEFAULT_CONDITIONS = tuple(
+    name for name in _CONDITION_RUNNERS if name not in ("strict-arc", "strict-cycle", "linear-extension")
 )
 
 def _option_names(option: str, value: str, known: Iterable[str]) -> list[str]:

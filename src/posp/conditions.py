@@ -388,11 +388,9 @@ def check_subpath_optimality(
         return None
 
     def dominator(prefix: tuple[int, ...]):
+        # The prefix's weight is not in `nd`: a weight below it was enumerated.
         pw = weight_of[prefix]
-        for cand, w in by_vertex[prefix[-1]]:
-            if space.comparator(w, pw) is LESS:
-                return cand, w
-        return None, None
+        return next((cand, w) for cand, w in by_vertex[prefix[-1]] if space.comparator(w, pw) is LESS)
 
     def violation(path: tuple[int, ...], w: Any, prefix: tuple[int, ...]) -> dict:
         dom_path, dom_w = dominator(prefix)
@@ -401,8 +399,8 @@ def check_subpath_optimality(
             "weight": _render(instance, w),
             "prefix": list(prefix),
             "prefix_weight": _render(instance, weight_of[prefix]),
-            "dominating_path": list(dom_path) if dom_path else None,
-            "dominating_weight": _render(instance, dom_w) if dom_path else None,
+            "dominating_path": list(dom_path),
+            "dominating_weight": _render(instance, dom_w),
         }
 
     if mode == "strong":

@@ -270,9 +270,9 @@ class Label:
     """One discovered path: a vertex plus a predecessor chain.
 
     Identity (eq/hash) is by object, so labels can be collected in sets; the
-    (pred serial, arc index) pair identifies the underlying path.  `dead`
-    marks labels dropped from a frontier — they stay reachable through
-    predecessor chains and are never mutated otherwise.
+    (pred serial, arc index) pair identifies the underlying path.  A label
+    is written once, when built; one dropped from a frontier stays as it
+    is, since later labels' predecessor chains may still pass through it.
     """
 
     vertex: int
@@ -281,7 +281,6 @@ class Label:
     weight: Any
     length: int
     serial: int = 0
-    dead: bool = False
 
     def path_id(self) -> tuple[int, int]:
         return (

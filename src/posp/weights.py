@@ -363,7 +363,7 @@ def mosp_space(dimension: int, arc_costs: Mapping[ArcKey, Sequence[Any]]) -> Wei
     )
 
 
-def _read_mosp(params, arcs, source):
+def _read_mosp(params, arcs, source, vertex_count):
     return mosp_space(_size_param(params, "dimension"), _payloads(arcs))
 
 
@@ -431,7 +431,7 @@ def bottleneck_space(
     )
 
 
-def _read_bottleneck(params, arcs, source):
+def _read_bottleneck(params, arcs, source, vertex_count):
     return bottleneck_space(
         _size_param(params, "additive_dimension"),
         _size_param(params, "bottleneck_dimension"),
@@ -486,7 +486,7 @@ def subset_space(ground_set_size: int, arc_sets: Mapping[ArcKey, Sequence[int]])
     )
 
 
-def _read_subset(params, arcs, source):
+def _read_subset(params, arcs, source, vertex_count):
     ground_set_size = _as_int(_param(params, "ground_set_size"), "ground_set_size")
     sets = {}
     for key, payload in _payloads(arcs).items():
@@ -547,7 +547,7 @@ def interval_space(alpha: Any, beta: Any, arc_intervals: Mapping[ArcKey, Any]) -
     )
 
 
-def _read_interval(params, arcs, source):
+def _read_interval(params, arcs, source, vertex_count):
     return interval_space(_param(params, "alpha"), _param(params, "beta"), _payloads(arcs))
 
 
@@ -635,7 +635,7 @@ def fifo_time_space(start_time: Any, arc_tables: Mapping[ArcKey, Sequence[Any]])
     )
 
 
-def _read_fifo_time(params, arcs, source):
+def _read_fifo_time(params, arcs, source, vertex_count):
     return fifo_time_space(params.get("start_time", 0), _payloads(arcs))
 
 
@@ -693,7 +693,7 @@ def wcspr_space(limit: Any, arc_data: Mapping[ArcKey, Any]) -> WeightSpace:
     )
 
 
-def _read_wcspr(params, arcs, source):
+def _read_wcspr(params, arcs, source, vertex_count):
     return wcspr_space(_param(params, "limit"), _payloads(arcs))
 
 
@@ -730,9 +730,8 @@ class ChargeCurve:
         if y <= pts[0][1]:
             return pts[0][0]
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            # Every earlier segment ends below y, so y0 < y <= y1.
             if y <= y1:
-                if y1 == y0:
-                    return x0
                 return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
         raise DomainMismatchError(f"state of charge {y} above the curve maximum")
 
@@ -810,19 +809,27 @@ def evsp_space(
     )
 
 
-def _read_evsp(params, arcs, source):
+def _read_evsp(params, arcs, source, vertex_count):
     initial_soc = _param(params, "initial_soc")
     epsilon = _param(params, "epsilon")
     stations = params.get("stations", {})
     if not isinstance(stations, dict):
         raise ValidationError("stations must map vertex to curve", "stations")
+    loops = {tail: payload for (tail, head), payload in arcs if tail == head}
     curves = {}
     for v, curve in stations.items():
         try:
-            curves[int(v)] = curve
+            vertex = int(v)
         except (TypeError, ValueError):
             raise ValidationError(f"station key {v!r} is not a vertex", "stations") from None
-    # A loop at a station charges along the station's curve and needs no payload.
+        if vertex in curves:
+            raise ValidationError(f"station key {v!r} repeats vertex {vertex}", f"stations.{v}")
+        if vertex not in loops:
+            raise ValidationError(f"station key {v!r} names no vertex with a loop arc", f"stations.{v}")
+        # The loop charges along the station's curve.
+        if loops[vertex] is not None:
+            raise ValidationError("a station's loop takes no payload", f"arc {(vertex, vertex)}")
+        curves[vertex] = curve
     roads = [(key, payload) for key, payload in arcs if not (key[0] == key[1] and key[0] in curves)]
     return evsp_space(initial_soc, _payloads(roads), curves, epsilon)
 
@@ -913,11 +920,14 @@ def tourist_space(
     )
 
 
-def _read_tourist(params, arcs, source):
-    categories = _list(_param(params, "categories"), "categories")
+def _read_tourist(params, arcs, source, vertex_count):
+    values, categories = (_list(_param(params, name), name) for name in ("values", "categories"))
+    for name, entries in (("values", values), ("categories", categories)):
+        if len(entries) != vertex_count:
+            raise ValidationError(f"expected one entry per vertex ({vertex_count}), got {len(entries)}", name)
     return tourist_space(
         _param(params, "budget"),
-        _list(_param(params, "values"), "values"),
+        values,
         [_as_int(c, f"categories[{i}]") for i, c in enumerate(categories)],
         _size_param(params, "category_count"),
         _payloads(arcs),
@@ -1036,7 +1046,7 @@ def _names(value: Any, path: str) -> list[str]:
     return value
 
 
-def _read_table(params, arcs, source):
+def _read_table(params, arcs, source, vertex_count):
     names = _names(_param(params, "weights"), "weights")
     pairs = [
         _sequence(pair, 2, 2, f"strict_pairs[{i}]")
@@ -1116,7 +1126,7 @@ def product_space(first: WeightSpace, second: WeightSpace) -> WeightSpace:
     )
 
 
-def _read_product(params, arcs, source):
+def _read_product(params, arcs, source, vertex_count):
     """Each part is a weight-space document; an arc payload holds the parts'
     payloads in the fields "first" and "second", either of which may be
     left out (as may the whole payload) for a part that reads none."""
@@ -1143,19 +1153,19 @@ def _read_product(params, arcs, source):
         )
         first_arcs.append((key, a))
         second_arcs.append((key, b))
-    first = _read_part(first_doc, "first", first_arcs, source)
-    second = _read_part(second_doc, "second", second_arcs, source)
+    first = _read_part(first_doc, "first", first_arcs, source, vertex_count)
+    second = _read_part(second_doc, "second", second_arcs, source, vertex_count)
     return product_space(first, second)
 
 
-def _read_part(doc: Any, side: str, arcs: list[ArcItem], source: int) -> WeightSpace:
+def _read_part(doc: Any, side: str, arcs: list[ArcItem], source: int, vertex_count: int) -> WeightSpace:
     """The product part `side`: a weight-space document of its own, whose
     arcs carry the field `side` of each payload.  Its `build_space` names
     the paths of an error as if the part were the whole weight space; the
     side goes in front of them, after ``payload`` on a payload's path."""
     kind = _req(doc, "kind", side)
     try:
-        return build_space(kind, doc.get("params", {}), arcs, source)
+        return build_space(kind, doc.get("params", {}), arcs, source, vertex_count)
     except ValidationError as exc:
         where = exc.path
         if where.startswith("graph.arcs["):
@@ -1168,8 +1178,8 @@ def _read_part(doc: Any, side: str, arcs: list[ArcItem], source: int) -> WeightS
 # ---------------------------------------------------------------------------
 # Instance documents.
 
-#: Document kind -> reader of its params, arc payloads and source.
-SPACE_READERS: dict[str, Callable[[Mapping[str, Any], Sequence[ArcItem], int], WeightSpace]] = {
+#: Document kind -> reader of its params, arc payloads, source and vertex count.
+SPACE_READERS: dict[str, Callable[[Mapping[str, Any], Sequence[ArcItem], int, int], WeightSpace]] = {
     "mosp": _read_mosp,
     "bottleneck": _read_bottleneck,
     "subset": _read_subset,
@@ -1183,14 +1193,15 @@ SPACE_READERS: dict[str, Callable[[Mapping[str, Any], Sequence[ArcItem], int], W
 }
 
 
-def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: int) -> WeightSpace:
+def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: int, vertex_count: int) -> WeightSpace:
     """The weight space of an instance document's ``weight_space`` object.
 
     `params` is its ``params`` object, ``{}`` only where the document
     leaves it out (a ``null`` is no object), and `arc_items` holds one
     ((tail, head), payload) pair per arc, with payload None where the arc
-    has none.  Malformed input raises ValidationError, whose path is a
-    path in the document.  The readers and constructors name a place
+    has none.  Per-vertex parameters must list `vertex_count` entries.
+    Malformed input raises ValidationError, whose path is a path in the
+    document.  The readers and constructors name a place
     relative to `params`, which becomes ``weight_space.params.<place>``
     (``weight_space.params`` for no place), or in an arc's payload as
     ``arc (tail, head)<rest>``, which becomes
@@ -1206,7 +1217,7 @@ def build_space(kind: Any, params: Any, arc_items: Sequence[ArcItem], source: in
     if not isinstance(params, dict):
         raise ValidationError("expected an object", "weight_space.params")
     try:
-        return reader(params, arc_items, source)
+        return reader(params, arc_items, source, vertex_count)
     except ValidationError as exc:
         where = exc.path
         arc, close, rest = where.partition(")")

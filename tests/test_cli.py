@@ -456,6 +456,8 @@ PAYLOAD_RANGE_ERRORS = [
         "graph.arcs[0].payload.length: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
     ),
     ("tourist_demo.json", 1, -2, "graph.arcs[1].payload: length must be nonnegative"),
+    # Arc 1 is the loop at station 1, which charges and reads no payload.
+    ("evsp_demo.json", 1, {"time": 1, "delta": 0.9}, "graph.arcs[1].payload: a station's loop takes no payload"),
 ]
 
 
@@ -479,6 +481,8 @@ def as_first_part(doc):
         arc["payload"] = {"first": arc.get("payload"), "second": [1]}
     return doc
 
+
+CURVE = [[0, 0], [1, 0.6], [2, 1]]
 
 # A parameter error names the parameter's place under ``weight_space.params``.
 PARAM_ERRORS = {
@@ -536,6 +540,22 @@ PARAM_ERRORS = {
         with_params("evsp_demo.json", stations={"x": [[0, 0], [1, 0.6], [2, 1]]}),
         "weight_space.params.stations: station key 'x' is not a vertex",
     ),
+    "evsp-station-key-repeated": (
+        with_params("evsp_demo.json", stations={"1": CURVE, "01": CURVE}),
+        "weight_space.params.stations.01: station key '01' repeats vertex 1",
+    ),
+    "evsp-station-key-too-large": (
+        with_params("evsp_demo.json", stations={"1": CURVE, "99": CURVE}),
+        "weight_space.params.stations.99: station key '99' names no vertex with a loop arc",
+    ),
+    "evsp-station-key-negative": (
+        with_params("evsp_demo.json", stations={"-1": CURVE}),
+        "weight_space.params.stations.-1: station key '-1' names no vertex with a loop arc",
+    ),
+    "evsp-station-without-loop": (
+        with_params("evsp_demo.json", stations={"1": CURVE, "3": CURVE}),
+        "weight_space.params.stations.3: station key '3' names no vertex with a loop arc",
+    ),
     "evsp-epsilon": (
         with_params("evsp_demo.json", epsilon=0),
         "weight_space.params.epsilon: epsilon must be positive",
@@ -555,6 +575,14 @@ PARAM_ERRORS = {
     "tourist-negative-value": (
         with_params("tourist_demo.json", values=[3, -5, 2, 7]),
         "weight_space.params.values[1]: vertex values must be nonnegative",
+    ),
+    "tourist-values-per-vertex": (
+        with_params("tourist_demo.json", values=[3, 5, 2, 7, 1, 1], categories=[0, 0, 1, 1, 0, 0]),
+        "weight_space.params.values: expected one entry per vertex (4), got 6",
+    ),
+    "tourist-categories-per-vertex": (
+        with_params("tourist_demo.json", categories=[0, 0, 1, 1, 0, 0]),
+        "weight_space.params.categories: expected one entry per vertex (4), got 6",
     ),
     "mosp-dimension": (
         with_params("vector_demo.json", dimension=0),
@@ -645,6 +673,28 @@ def test_max_iterations_below_one_exits_two(value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("max_iterations: max_iterations must be at least 1") == 2
     assert captured.out == ""
+
+
+def test_negative_mu_exits_two(tmp_path, capsys):
+    doc = fixture_doc("vector_demo.json")
+    doc["mu"] = -1
+    assert cli.main(["solve", write_doc(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "validation error: mu: mu must be nonnegative\n"
+    assert captured.out == ""
+
+
+def test_a_product_is_infeasible_where_a_part_is(tmp_path, capsys):
+    # The path 0-1-2 needs resource 12, over wcspr's limit of 10, which makes
+    # the product weight infeasible although its mosp part has no such flag.
+    path = write_doc(tmp_path, as_first_part(fixture_doc("wcspr_demo.json")))
+
+    def entries(*options):
+        assert cli.main(["solve", path, "--algorithm", "bellman", *options]) == 0
+        return [(e["path"], e["feasible"]) for e in json.loads(capsys.readouterr().out)["frontiers"][2]["entries"]]
+
+    assert entries() == [([0, 1, 2], False), ([0, 1, 4, 2], True), ([0, 3, 2], True)]
+    assert entries("--drop-infeasible") == [([0, 1, 4, 2], True), ([0, 3, 2], True)]
 
 
 WRONG_SHAPES = (None, 7, "x", [], {}, [1, 2, 3], [[1, 2], [3]], True)

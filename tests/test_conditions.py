@@ -130,6 +130,14 @@ def test_subpath_optimality_holds_on_a_clean_vector_instance():
     assert check_subpath_optimality(inst, depth=6, mode="weak").holds
 
 
+def test_unknown_checker_modes_are_rejected():
+    inst = load_instance("vector_demo.json")
+    with pytest.raises(posp.ValidationError, match=r"^unknown independence mode 'semi'$"):
+        check_independence(inst, depth=2, mode="semi")
+    with pytest.raises(posp.ValidationError, match=r"^unknown subpath-optimality mode 'semi'$"):
+        check_subpath_optimality(inst, depth=2, mode="semi")
+
+
 def test_dependent_extension_is_weakly_subpath_optimal():
     inst = load_instance("dependent_extension.json")
     assert check_subpath_optimality(inst, depth=6, mode="weak").holds

@@ -301,3 +301,5 @@ def test_fold_weight_rejects_broken_path():
     inst = posp.parse_instance(load_fixture("vector_demo.json"))
     with pytest.raises(ValidationError):
         fold_weight(inst, [0, 3, 1])  # no arc 3 -> 1
+    with pytest.raises(ValidationError, match=r"path \(1, 2\) does not start at the source"):
+        fold_weight(inst, [1, 2])

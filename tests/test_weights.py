@@ -14,6 +14,7 @@ from posp import (
     INCOMPARABLE,
     LESS,
     Arc,
+    DomainMismatchError,
     MissingUpdateEntryError,
     ValidationError,
 )
@@ -36,6 +37,7 @@ from posp.weights import (
     table_space,
     tourist_space,
     wcspr_space,
+    _vector_compare,
 )
 
 MAX_EXAMPLES = 120
@@ -129,6 +131,11 @@ def test_mosp_componentwise_order():
     assert s.comparator((1, 3), (3, 1)) is INCOMPARABLE
     assert s.comparator((1, 1), (1, 1)) is EQUAL
     assert s.update((1, 1), Arc(0, 0, 1)) == (2, 4)
+
+
+def test_vector_compare_rejects_mismatched_dimensions():
+    with pytest.raises(DomainMismatchError, match=r"^vector dimensions differ: 2 vs 3$"):
+        _vector_compare((1, 2), (1, 2, 3))
 
 
 def test_mosp_missing_arc_entry():
@@ -421,6 +428,12 @@ def test_charge_curve_left_inverse_and_step():
     assert c.charge(F(0), F(1)) == F(6, 10)
     assert c.charge(F(6, 10), F(1)) == 1
     assert c.charge(F(1), F(1)) == 1  # already full: no change
+
+
+def test_charge_curve_earliest_time_takes_the_left_end_of_a_flat_run():
+    c = ChargeCurve([(0, 0), (1, F(1, 2)), (2, F(1, 2)), (3, 1)])
+    assert c.earliest_time(F(1, 2)) == 1
+    assert c.earliest_time(F(3, 4)) == F(5, 2)
 
 
 def test_charge_curve_validation():

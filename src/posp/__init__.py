@@ -31,9 +31,7 @@ from .core import (
     MissingUpdateEntryError,
     MU_BOUNDED,
     NoLeoError,
-    PARTIAL_ORDER,
     PospError,
-    QUASI_TRANSITIVE,
     SECOND,
     SUBPATH_OPTIMAL,
     ValidationError,

@@ -5,8 +5,7 @@ of labels:
 
 - `bellman_solve` — label-correcting fixed point, semi-naive: every round
   extends only the labels the previous round inserted, along the out-arcs
-  of their vertex, and merges; it stops when nothing changes.  Spaces that
-  declare a quasi-transitive relation re-extend every label every round.
+  of their vertex, and merges; it stops when nothing changes.
 - `mda_solve` — label-setting: one priority queue keyed by the weight
   space's linear extension holds every candidate label; a popped label that
   no permanent label of its vertex dominates becomes permanent.
@@ -40,7 +39,6 @@ from .core import (
     LeoMonotonicityError,
     MU_BOUNDED,
     NoLeoError,
-    QUASI_TRANSITIVE,
     ValidationError,
     WeightSpace,
     reconstruct_path,
@@ -160,23 +158,19 @@ def bellman_solve(
     strictly dominates it or already holds its path), so extending it again
     would only create candidates the merge rejects.  The result is
     label-for-label the result of re-extending every frontier each round;
-    only the comparison count drops.  That argument needs the declared
-    `relation_kind`: a space whose comparator is not transitive must declare
-    ``antisymmetric-quasi-transitive``, and then every round re-extends every
-    frontier.
+    only the comparison count drops.  The argument needs LESS to be
+    transitive, which the `WeightSpace` contract asks of every comparator.
 
     The merge keeps what the mode calls efficient.  Min mode keeps one
     label per nondominated weight: incumbents win ties against candidates,
     and earlier candidates win ties against later ones.  Max mode keeps
-    every path whose weight is not strictly dominated; a round that
-    re-extends every frontier re-derives its paths, so it keeps their
-    identities and adds no path twice, which makes the fixed point
-    detectable.  Candidates come in in-arc order, then in the order of
-    their tail's labels; each draws a serial and runs one `_scan` over the
-    current frontier.  A kept candidate becomes a label, evicts the
-    incumbents it strictly beats and is appended; no label is built for a
-    rejected one.  The frontier and its order are those of a rejection pass
-    and an eviction pass.  That needs no transitivity, only a dual
+    every path whose weight is not strictly dominated; a label is extended
+    in one round only, so no path comes in twice.  Candidates come in in-arc
+    order, then in the order of their tail's labels; each draws a serial and
+    runs one `_scan` over the current frontier.  A kept candidate becomes a
+    label, evicts the incumbents it strictly beats and is appended; no label
+    is built for a rejected one.  The frontier and its order are those of a
+    rejection pass and an eviction pass.  That needs no transitivity, only a dual
     comparator (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS).
 
     The iteration guard is `iteration_guard(instance)`; hitting it
@@ -185,12 +179,10 @@ def bellman_solve(
     """
     stats = SolveStats()
     space = instance.space
-    semi_naive = space.relation_kind != QUASI_TRANSITIVE
     guard = iteration_guard(instance)
     cmp = space.comparator
     scan = getattr(cmp, "scan", _scan)
     keep_equal = mode is SolveMode.MAX
-    track_paths = keep_equal and not semi_naive
 
     serials = itertools.count()
     root = Label(
@@ -217,17 +209,14 @@ def bellman_solve(
     k = 0
     while True:
         k += 1
-        # Copies of whole frontiers, which the merges below change in place.
-        sources = fresh if semi_naive else {u: list(f) for u, f in enumerate(frontiers) if f}
+        sources, fresh = fresh, {}
         # Only the heads of arcs leaving a source can receive candidates.
         # Visiting them in vertex order hands out the serials a visit of
         # every vertex would.
         heads = sorted({arc.head for u in sources for arc in out_arcs(u)})
-        fresh = {}
         for v in heads:
             frontier = frontiers[v]
             before = len(frontier)
-            ids = {lab.path_id() for lab in frontier} if track_paths else None
             kept: list[Label] = []
             for arc in in_arcs(v):
                 for lab in sources.get(arc.tail, ()):
@@ -235,8 +224,6 @@ def bellman_solve(
                     if infeasible is not None and infeasible(w):
                         continue
                     serial = next(serials)
-                    if track_paths and (lab.serial, arc.index) in ids:
-                        continue
                     beaten = scan(cmp, frontier, w, keep_equal, stats)
                     if beaten is None:
                         continue
@@ -245,13 +232,9 @@ def bellman_solve(
                         frontier = [r for r in frontier if r not in gone]
                         # A kept candidate may evict an earlier one.
                         kept = [c for c in kept if c not in gone]
-                        if track_paths:
-                            ids.difference_update(r.path_id() for r in beaten)
                     cand = Label(v, lab, arc, w, lab.length + 1, serial)
                     frontier.append(cand)
                     kept.append(cand)
-                    if track_paths:
-                        ids.add((lab.serial, arc.index))
             if kept:
                 size += len(frontier) - before
                 frontiers[v] = frontier

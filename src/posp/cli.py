@@ -105,7 +105,7 @@ def parse_instance(doc: Any) -> Instance:
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be a JSON object")
     fv = _req(doc, "format_version", "")
-    if fv != FORMAT_VERSION:
+    if type(fv) is not int or fv != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {fv!r}", "format_version")
     graph = _req(doc, "graph", "")
     n = _bounded_int(_req(graph, "vertex_count", "graph"), "graph.vertex_count", MAX_VERTEX_COUNT)

@@ -82,10 +82,6 @@ EQUAL = ComparisonResult.EQUAL
 GREATER = ComparisonResult.GREATER
 INCOMPARABLE = ComparisonResult.INCOMPARABLE
 
-#: Relation kinds a comparator may declare.
-PARTIAL_ORDER = "partial-order"
-QUASI_TRANSITIVE = "antisymmetric-quasi-transitive"
-
 #: leo_pick outcomes.
 FIRST = "first"
 SECOND = "second"
@@ -140,9 +136,9 @@ class Arc:
 class WeightSpace:
     """A partially ordered value domain with an arc update function.
 
-    comparator(a, b) must be antisymmetric up to structural equality; its
-    transitivity requirement is relaxed when relation_kind is
-    ``antisymmetric-quasi-transitive``.  leo_key, when present, maps a weight
+    comparator must be dual (cmp(a, b) is GREATER exactly when cmp(b, a) is
+    LESS), return EQUAL exactly on equal weights, and keep LESS transitive;
+    `bellman_solve` relies on the last.  leo_key, when present, maps a weight
     to a tuple whose natural ordering is a linear extension of the order
     (equal keys only for structurally equal weights).
     """
@@ -152,7 +148,6 @@ class WeightSpace:
     update: Callable[[Any, Arc], Any]
     initial: Any
     leo_key: Callable[[Any], tuple] | None = None
-    relation_kind: str = PARTIAL_ORDER
     render: Callable[[Any], Any] | None = None
     infeasible: Callable[[Any], bool] | None = None
 
@@ -281,12 +276,6 @@ class Label:
     weight: Any
     length: int
     serial: int = 0
-
-    def path_id(self) -> tuple[int, int]:
-        return (
-            self.pred.serial if self.pred is not None else -1,
-            self.arc.index if self.arc is not None else -1,
-        )
 
 
 def reconstruct_path(label: Label) -> tuple[int, ...]:

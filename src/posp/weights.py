@@ -53,8 +53,6 @@ from .core import (
     GREATER,
     INCOMPARABLE,
     LESS,
-    PARTIAL_ORDER,
-    QUASI_TRANSITIVE,
     Arc,
     ComparisonResult,
     DomainMismatchError,
@@ -946,7 +944,6 @@ def table_space(
     initial: Hashable,
     defaults: Mapping[ArcKey, Hashable] | None = None,
     leo_order: Sequence[Hashable] | None = None,
-    relation_kind: str = PARTIAL_ORDER,
 ) -> WeightSpace:
     """Finite weight set with explicit strict-dominance pairs and update tables.
 
@@ -1029,7 +1026,6 @@ def table_space(
         update=update,
         initial=initial,
         leo_key=leo_key,
-        relation_kind=relation_kind,
         render=lambda w: w,
     )
 
@@ -1060,17 +1056,18 @@ def _read_table(params, arcs, source, vertex_count):
         entry_path = f"updates[{i}]"
         tail = _as_int(_req(entry, "tail", entry_path), f"{entry_path}.tail")
         head = _as_int(_req(entry, "head", entry_path), f"{entry_path}.head")
-        entries = entry.get("entries") or {}
+        entries = entry.get("entries", {})
         if not isinstance(entries, dict) or not all(isinstance(r, str) for r in entries.values()):
             raise ValidationError("expected an object of weight names", f"{entry_path}.entries")
         updates.update(((w_name, (tail, head)), result) for w_name, result in entries.items())
         if "default" in entry:
             defaults[(tail, head)] = _name(entry["default"], f"{entry_path}.default")
     leo = params.get("leo")
-    relation_kind = params.get("relation_kind", PARTIAL_ORDER)
-    if relation_kind not in (PARTIAL_ORDER, QUASI_TRANSITIVE):
+    # Every table is a partial order, so either kind solves alike: read only for older documents.
+    kind = params.get("relation_kind", "partial-order")
+    if kind not in ("partial-order", "antisymmetric-quasi-transitive"):
         raise ValidationError(
-            f"expected {PARTIAL_ORDER!r} or {QUASI_TRANSITIVE!r}, got {relation_kind!r}",
+            f"expected 'partial-order' or 'antisymmetric-quasi-transitive', got {kind!r}",
             "relation_kind",
         )
     return table_space(
@@ -1080,7 +1077,6 @@ def _read_table(params, arcs, source, vertex_count):
         initial,
         defaults,
         leo_order=None if leo is None else _names(leo, "leo"),
-        relation_kind=relation_kind,
     )
 
 
@@ -1116,11 +1112,6 @@ def product_space(first: WeightSpace, second: WeightSpace) -> WeightSpace:
         update=update,
         initial=(first.initial, second.initial),
         leo_key=leo_key,
-        relation_kind=(
-            first.relation_kind
-            if first.relation_kind == second.relation_kind
-            else QUASI_TRANSITIVE
-        ),
         render=lambda wv: [first.render_weight(wv[0]), second.render_weight(wv[1])],
         infeasible=infeasible if has_flag else None,
     )

@@ -91,8 +91,10 @@ def minimal_doc(**overrides):
 
 
 def test_parse_rejects_wrong_format_version():
-    with pytest.raises(posp.ValidationError, match="format version"):
-        posp.parse_instance(minimal_doc(format_version=2))
+    # `True == 1` and the exact reading of 1.0 equal 1, but only the integer is the version.
+    for version in (2, True, Fraction(1)):
+        with pytest.raises(posp.ValidationError, match="format version"):
+            posp.parse_instance(minimal_doc(format_version=version))
 
 
 def test_parse_rejects_missing_fields_with_a_path():
@@ -158,6 +160,7 @@ def with_first_update(entry):
 
 
 MALFORMED = {
+    "format-version-1.0": minimal_doc(format_version=1.0),
     "mosp-scalar-payload": with_arc_payload("vector_demo.json", 5),
     "bottleneck-payload-without-bottleneck": with_arc_payload(
         "bottleneck_demo.json", {"additive": [3]}
@@ -531,6 +534,10 @@ PARAM_ERRORS = {
     "table-default": (
         with_first_update({"tail": 0, "head": 1, "default": "z"}),
         "weight_space.params.updates: default result 'z' unknown",
+    ),
+    "table-entries-false": (
+        with_first_update({"tail": 0, "head": 1, "entries": False, "default": "1"}),
+        "weight_space.params.updates[0].entries: expected an object of weight names",
     ),
     "table-relation-kind": (
         with_params("dependent_extension.json", relation_kind="total"),
@@ -941,8 +948,8 @@ def test_mda_guard_stops_a_zero_gain_cycle(tmp_path):
 
 
 def quasi_transitive_product_doc():
-    # Parts with different relation kinds make a quasi-transitive product,
-    # which the fixpoint solver answers by re-extending every frontier.
+    # The table declares the quasi-transitive relation kind, which is read
+    # and changes nothing: every table is a partial order.
     def chain(add):
         return {str(w): str(min(w + add, 2)) for w in range(3)}
 
@@ -990,7 +997,6 @@ def test_solve_product_of_a_quasi_transitive_table_and_mosp(tmp_path):
     out = json.loads(r.stdout)
     assert out["algorithm"] == "bellman"
     inst = posp.parse_instance(doc)
-    assert inst.space.relation_kind == posp.QUASI_TRANSITIVE
     oracle = posp.algorithms.brute_force_frontier(inst, 8)
     got = [sorted(json.dumps(e["weight"]) for e in fr["entries"]) for fr in out["frontiers"]]
     want = [
@@ -1318,8 +1324,8 @@ def test_traced_comparisons_equal_the_solver_counts():
     assert metrics["algorithms.mda.heap_pushes"] == mda.stats.insertions == 10
     assert metrics["algorithms.mda.parked_pushes"] == metrics["algorithms.mda.stale_pops"] == 0
 
-    # Max mode, where equal weights are kept; the quasi-transitive product
-    # re-derives paths, which the merge rejects by path identity.
+    # Max mode, where equal weights are kept, on a generator instance and on
+    # a product of a table and `mosp`.
     def max_mode_solves(tracer):
         inst = random_instance("mosp-max", 0)
         inst = dataclasses.replace(inst, space=tracer.traced_space(inst.space))

@@ -166,11 +166,11 @@ def bellman_solve(
     and earlier candidates win ties against later ones.  Max mode keeps
     every path whose weight is not strictly dominated; a label is extended
     in one round only, so no path comes in twice.  Candidates come in in-arc
-    order, then in the order of their tail's labels; each draws a serial and
-    runs one `_scan` over the current frontier.  A kept candidate becomes a
-    label, evicts the incumbents it strictly beats and is appended; no label
-    is built for a rejected one.  The frontier and its order are those of a
-    rejection pass and an eviction pass.  That needs no transitivity, only a dual
+    order, then in the order of their tail's labels; each runs one `_scan`
+    over the current frontier.  A kept candidate becomes a label, evicts the
+    incumbents it strictly beats and is appended; no label is built for a
+    rejected one.  The frontier and its order are those of a rejection pass
+    and an eviction pass.  That needs no transitivity, only a dual
     comparator (`cmp(a, b)` is GREATER exactly when `cmp(b, a)` is LESS).
 
     The iteration guard is `iteration_guard(instance)`; hitting it
@@ -184,15 +184,7 @@ def bellman_solve(
     scan = getattr(cmp, "scan", _scan)
     keep_equal = mode is SolveMode.MAX
 
-    serials = itertools.count()
-    root = Label(
-        vertex=instance.source,
-        pred=None,
-        arc=None,
-        weight=space.initial,
-        length=0,
-        serial=next(serials),
-    )
+    root = Label(instance.source, None, None, space.initial, 0)
     n = instance.vertex_count
     frontiers: list[list[Label]] = [[] for _ in range(n)]
     frontiers[instance.source] = [root]
@@ -211,9 +203,7 @@ def bellman_solve(
         k += 1
         sources, fresh = fresh, {}
         # Only the heads of arcs leaving a source can receive candidates.
-        # Visiting them in vertex order hands out the serials a visit of
-        # every vertex would.
-        heads = sorted({arc.head for u in sources for arc in out_arcs(u)})
+        heads = {arc.head for u in sources for arc in out_arcs(u)}
         for v in heads:
             frontier = frontiers[v]
             before = len(frontier)
@@ -223,7 +213,6 @@ def bellman_solve(
                     w = update(lab.weight, arc)
                     if infeasible is not None and infeasible(w):
                         continue
-                    serial = next(serials)
                     beaten = scan(cmp, frontier, w, keep_equal, stats)
                     if beaten is None:
                         continue
@@ -232,7 +221,7 @@ def bellman_solve(
                         frontier = [r for r in frontier if r not in gone]
                         # A kept candidate may evict an earlier one.
                         kept = [c for c in kept if c not in gone]
-                    cand = Label(v, lab, arc, w, lab.length + 1, serial)
+                    cand = Label(v, lab, arc, w, lab.length + 1)
                     frontier.append(cand)
                     kept.append(cand)
             if kept:
@@ -261,9 +250,9 @@ def mda_solve(
     """Label-setting solve ordered by the space's linear extension.
 
     One heap holds every candidate label, each pushed once when it is
-    created, ordered by (linear-extension key, vertex, serial).  A popped
-    label that a permanent label of its vertex dominates is dropped; any
-    other becomes permanent and is extended along the out-arcs of its
+    created, ordered by (linear-extension key, vertex, creation order).  A
+    popped label that a permanent label of its vertex dominates is dropped;
+    any other becomes permanent and is extended along the out-arcs of its
     vertex.  Popping the minimum is safe whenever the linear extension is
     monotone along arcs.  Violations of that premise surface as
     `LeoMonotonicityError` with a concrete witness: either the global
@@ -305,15 +294,8 @@ def mda_solve(
     update = space.update
     infeasible = space.infeasible if drop_infeasible else None
     out_arcs = instance.out_arcs
-    root = Label(
-        vertex=instance.source,
-        pred=None,
-        arc=None,
-        weight=space.initial,
-        length=0,
-        serial=next(serials),
-    )
-    heapq.heappush(heap, [key_of(root.weight), root.vertex, root.serial, root])
+    root = Label(instance.source, None, None, space.initial, 0)
+    heapq.heappush(heap, [key_of(root.weight), root.vertex, next(serials), root])
     stats.insertions += 1
 
     last_key = None
@@ -364,8 +346,7 @@ def mda_solve(
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            serial = next(serials)
-            heapq.heappush(heap, [key_of(w), u, serial, Label(u, label, arc, w, label.length + 1, serial)])
+            heapq.heappush(heap, [key_of(w), u, next(serials), Label(u, label, arc, w, label.length + 1)])
             stats.insertions += 1
 
     return SolveResult(frontiers=permanents, stats=stats, status=status)

@@ -64,7 +64,7 @@ from .core import (
 )
 from .generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_instance
 from . import weights
-from .weights import _as_int, _bounded_int, _req, build_space
+from .weights import _as_int, _bounded_int, _req, _show, build_space
 
 FORMAT_VERSION = 1
 
@@ -106,7 +106,7 @@ def parse_instance(doc: Any) -> Instance:
         raise ValidationError("instance document must be a JSON object")
     fv = _req(doc, "format_version", "")
     if type(fv) is not int or fv != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {fv!r}", "format_version")
+        raise ValidationError(f"unsupported format version {_show(fv)}", "format_version")
     graph = _req(doc, "graph", "")
     n = _bounded_int(_req(graph, "vertex_count", "graph"), "graph.vertex_count", MAX_VERTEX_COUNT)
     arcs_raw = _req(graph, "arcs", "graph")

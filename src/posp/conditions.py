@@ -151,8 +151,9 @@ class PathSample:
 
     def paths(self, depth: int) -> Paths:
         """(path, weight) per path of at most `depth` arcs, per end vertex, in
-        discovery order."""
-        depth = max(depth, 0)
+        discovery order; a negative depth selects no paths."""
+        if depth < 0:
+            return [[] for _ in range(self.instance.vertex_count)]
         if depth > self.depth:
             self.by_vertex, _ = enumerate_source_paths(self.instance, depth, space=self.space)
             self.depth = depth
@@ -162,7 +163,6 @@ class PathSample:
 
     def representatives(self, depth: int) -> Paths:
         """One (path, weight) per distinct weight per vertex, discovery order."""
-        depth = max(depth, 0)
         if depth not in self._reps:
             self._reps[depth] = []
             for found in self.paths(depth):

@@ -7,8 +7,7 @@ a digraph and a source vertex to a weight space together with the properties
 the caller declares to hold for it.
 
 Labels are immutable records linked through predecessor references; a label
-*is* a path, and two labels represent the same path exactly when their
-(predecessor serial, arc) pairs coincide.
+*is* its path: its predecessor chain plus its arc.
 """
 
 from __future__ import annotations
@@ -262,11 +261,11 @@ def build_instance(
 
 @dataclass(eq=False, slots=True)
 class Label:
-    """One discovered path: a vertex plus a predecessor chain.
+    """One discovered path.  A label is its path: its predecessor chain plus
+    its arc, ending at `vertex`.
 
-    Identity (eq/hash) is by object, so labels can be collected in sets; the
-    (pred serial, arc index) pair identifies the underlying path.  A label
-    is written once, when built; one dropped from a frontier stays as it
+    Identity (eq/hash) is by object, so labels can be collected in sets.  A
+    label is written once, when built; one dropped from a frontier stays as it
     is, since later labels' predecessor chains may still pass through it.
     """
 
@@ -275,7 +274,6 @@ class Label:
     arc: Arc | None
     weight: Any
     length: int
-    serial: int = 0
 
 
 def reconstruct_path(label: Label) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ Included structures:
 from __future__ import annotations
 
 import functools
+import json
 import math
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -86,25 +87,40 @@ def read_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _show(value: Any) -> str:
+    """A document value as a message quotes it: a string as `repr` does, a
+    Fraction (the reading of a decimal literal) as a decimal with a point,
+    anything else as JSON, in which a Fraction is that decimal as a string."""
+    if isinstance(value, str):
+        return repr(value)
+    if not isinstance(value, Fraction):
+        return json.dumps(value, default=_show)
+    places = value.denominator.bit_length()  # 10**places is a multiple of 2**a * 5**b
+    digits, rest = divmod(abs(value.numerator) * 10**places, value.denominator)
+    if rest:  # no decimal literal reads as this
+        return str(value)
+    whole, frac = divmod(digits, 10**places)
+    sign = "-" if value < 0 else ""
+    return f"{sign}{whole}.{str(frac).rjust(places, '0').rstrip('0') or '0'}"
+
+
 def as_fraction(value: Any, path: str = "") -> Fraction:
     """Coerce ints, rational strings, decimal strings, and floats to Fraction."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}", path)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValidationError(f"expected a finite number, got {value!r}", path)
+            raise ValidationError(f"expected a finite number, got {_show(value)}", path)
         # Shortest-repr decimal reading keeps 0.1 meaning 1/10.
         return Fraction(str(value))
     if isinstance(value, str):
         try:
             return read_decimal(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse rational {value!r}: {exc}", path) from None
-    raise ValidationError(f"expected a number, got {type(value).__name__}", path)
+            raise ValidationError(f"cannot parse rational {_show(value)}: {exc}", path) from None
+    raise ValidationError(f"expected a number, got {_show(value)}", path)
 
 
 def as_rational(value: Any, path: str = "") -> Rational:
@@ -144,7 +160,7 @@ def _req(mapping: Any, key: str, path: str) -> Any:
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {value!r}", path)
+        raise ValidationError(f"expected an integer, got {_show(value)}", path)
     return value
 
 
@@ -667,7 +683,7 @@ def wcspr_space(limit: Any, arc_data: Mapping[ArcKey, Any]) -> WeightSpace:
         if r > m:
             raise ValidationError(f"resource {r} exceeds the limit {m}", f"arc {key}.r")
         if not isinstance(repl, int) or repl not in (0, 1):
-            raise ValidationError(f"expected true or false, got {repl!r}", f"arc {key}.replenish")
+            raise ValidationError(f"expected true or false, got {_show(repl)}", f"arc {key}.replenish")
         data[key] = (w, r, bool(repl))
 
     def update(wv: tuple[Rational, Rational], arc: Arc) -> tuple[Rational, Rational]:
@@ -1032,7 +1048,7 @@ def table_space(
 
 def _name(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise ValidationError(f"expected a weight name, got {value!r}", path)
+        raise ValidationError(f"expected a weight name, got {_show(value)}", path)
     return value
 
 

@@ -120,13 +120,6 @@ def test_max_merge_keeps_equal_weights_but_not_duplicate_paths():
     assert result.status == CONVERGED
 
 
-def path_id(label):
-    """(pred serial, arc index): the path a label extends and how."""
-    if label.pred is None:
-        return (-1, -1)
-    return (label.pred.serial, label.arc.index)
-
-
 def two_pass_merge(space, frontier, candidates, mode):
     """The rule `bellman_solve`'s one-pass merge must reproduce: a rejection
     pass over the current result, then, for a kept candidate, an eviction
@@ -140,20 +133,20 @@ def two_pass_merge(space, frontier, candidates, mode):
 
     rejects = (LESS, EQUAL) if mode is SolveMode.MIN else (LESS,)
     result = list(frontier)
-    ids = {path_id(l) for l in result}
+    ids = {reconstruct_path(l) for l in result}
     for cand in candidates:
-        if mode is SolveMode.MAX and path_id(cand) in ids:
+        if mode is SolveMode.MAX and reconstruct_path(cand) in ids:
             continue
         if any(cmp(r.weight, cand.weight) in rejects for r in result):
             continue
         survivors = []
         for r in result:
             if cmp(cand.weight, r.weight) is LESS:
-                ids.discard(path_id(r))
+                ids.discard(reconstruct_path(r))
             else:
                 survivors.append(r)
         survivors.append(cand)
-        ids.add(path_id(cand))
+        ids.add(reconstruct_path(cand))
         result = survivors
     return result, compared
 
@@ -163,11 +156,10 @@ def two_pass_bellman(instance, mode, re_extend=False):
     a label of each candidate of each vertex, in vertex order, and merges
     them.  A round extends the labels the last round inserted or, with
     `re_extend`, every label; max mode then re-derives paths it holds, which
-    the merge's path check rejects.  Returns ((frontiers as (weight, path,
-    serial) lists, status, insertions), comparisons made)."""
+    the merge's path check rejects.  Returns ((frontiers as (weight, path)
+    lists, status, insertions), comparisons made)."""
     space = instance.space
-    serials = itertools.count()
-    root = Label(instance.source, None, None, space.initial, 0, next(serials))
+    root = Label(instance.source, None, None, space.initial, 0)
     frontiers = [[] for _ in range(instance.vertex_count)]
     frontiers[instance.source] = [root]
     fresh = {instance.source: [root]}
@@ -177,7 +169,7 @@ def two_pass_bellman(instance, mode, re_extend=False):
         fresh = {}
         for v in range(instance.vertex_count):
             candidates = [
-                Label(v, lab, arc, space.update(lab.weight, arc), lab.length + 1, next(serials))
+                Label(v, lab, arc, space.update(lab.weight, arc), lab.length + 1)
                 for arc in instance.in_arcs(v)
                 for lab in sources.get(arc.tail, ())
             ]
@@ -191,7 +183,7 @@ def two_pass_bellman(instance, mode, re_extend=False):
         if not fresh:
             status = CONVERGED
             break
-    record = [[(lab.weight, reconstruct_path(lab), lab.serial) for lab in f] for f in frontiers]
+    record = [[(lab.weight, reconstruct_path(lab)) for lab in f] for f in frontiers]
     return (record, status, insertions), compared
 
 
@@ -281,7 +273,7 @@ def test_mosp_scan_kernel_equals_the_reference_scan(d):
     outcomes = set()
     for seed in range(300):
         rng = random.Random(f"kernel:{d}:{seed}")
-        labels = [Label(0, None, None, _kernel_weight(rng, d), 0, i) for i in range(rng.randint(0, 8))]
+        labels = [Label(0, None, None, _kernel_weight(rng, d), 0) for _ in range(rng.randint(0, 8))]
         if labels and rng.random() < 0.3:
             w = rng.choice(labels).weight
         else:
@@ -321,7 +313,7 @@ def test_generic_scan_equals_the_counting_reference():
     outcomes = set()
     for seed in range(400):
         rng = random.Random(f"scan:{seed}")
-        labels = [Label(0, None, None, i, 0, i) for i in range(rng.randint(0, 10))]
+        labels = [Label(0, None, None, i, 0) for i in range(rng.randint(0, 10))]
         script = [rng.choice(verdicts) for _ in labels]
         calls = []
 
@@ -384,7 +376,7 @@ def _generic_view(instance, doc):
 
 
 def _solve_record(result):
-    frontiers = [[(lab.weight, reconstruct_path(lab), lab.serial) for lab in f] for f in result.frontiers]
+    frontiers = [[(lab.weight, reconstruct_path(lab)) for lab in f] for f in result.frontiers]
     return frontiers, result.status, result.stats.to_dict(), result.iteration_sizes
 
 
@@ -694,6 +686,8 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
     parked = [[] for _ in range(n)]
     heap = []
     entry_for = {}
+    # Creation order, by label: it breaks key ties in the parked pools.
+    created = {}
     serials = itertools.count()
     pushes = itertools.count()
 
@@ -704,19 +698,20 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
         stats.insertions += 1
 
     def park(label):
-        heapq.heappush(parked[label.vertex], (key_of(label.weight), label.serial, label))
+        heapq.heappush(parked[label.vertex], (key_of(label.weight), created[label], label))
 
     def promote(v):
         while parked[v]:
             _key, _serial, lab = heapq.heappop(parked[v])
-            if path_id(lab) in permanent_ids[v]:
+            if reconstruct_path(lab) in permanent_ids[v]:
                 continue
             if dominated(permanents[v], lab.weight):
                 continue
             set_entry(v, lab)
             return
 
-    root = Label(vertex=instance.source, pred=None, arc=None, weight=space.initial, length=0, serial=next(serials))
+    root = Label(vertex=instance.source, pred=None, arc=None, weight=space.initial, length=0)
+    created[root] = next(serials)
     set_entry(instance.source, root)
 
     last_key = None
@@ -753,7 +748,7 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
                 )
             assert not (c is EQUAL and not strict_only)
         permanents[v].append(label)
-        permanent_ids[v].add(path_id(label))
+        permanent_ids[v].add(reconstruct_path(label))
         stats.extractions += 1
         promote(v)
         for arc in instance.out_arcs(v):
@@ -766,7 +761,8 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            cand = Label(vertex=u, pred=label, arc=arc, weight=w, length=label.length + 1, serial=next(serials))
+            cand = Label(vertex=u, pred=label, arc=arc, weight=w, length=label.length + 1)
+            created[cand] = next(serials)
             current = entry_for.get(u)
             if current is None:
                 park(cand)

@@ -488,7 +488,37 @@ def as_first_part(doc):
 CURVE = [[0, 0], [1, 0.6], [2, 1]]
 
 # A parameter error names the parameter's place under ``weight_space.params``.
+# Any error quotes a string value as Python does and any other value as JSON.
 PARAM_ERRORS = {
+    "source-decimal": (minimal_doc(source=1.5), "source: expected an integer, got 1.5"),
+    "vertex-count-decimal": (
+        with_vertex_count("vector_demo.json", 2.0),
+        "graph.vertex_count: expected an integer, got 2.0",
+    ),
+    "tail-null": (
+        minimal_doc(graph={"vertex_count": 2, "arcs": [{"tail": None, "head": 1, "payload": [1]}]}),
+        "graph.arcs[0].tail: expected an integer, got null",
+    ),
+    "format-version-true": (
+        minimal_doc(format_version=True),
+        "format_version: unsupported format version true",
+    ),
+    "format-version-1.0": (
+        minimal_doc(format_version=1.0),
+        "format_version: unsupported format version 1.0",
+    ),
+    "mosp-payload-true": (
+        with_arc_payload("vector_demo.json", [True, 1]),
+        "graph.arcs[0].payload: expected a number, got true",
+    ),
+    "mosp-payload-null": (
+        with_arc_payload("vector_demo.json", [None, 1]),
+        "graph.arcs[0].payload: expected a number, got null",
+    ),
+    "wcspr-replenish-decimal": (
+        with_arc_payload("wcspr_demo.json", {"w": 1, "r": 6, "replenish": 0.5}),
+        "graph.arcs[0].payload.replenish: expected true or false, got 0.5",
+    ),
     "bottleneck-initial": (
         with_params("bottleneck_demo.json", initial_bottleneck=["x"]),
         "weight_space.params.initial_bottleneck: cannot parse rational 'x': Invalid literal for Fraction: 'x'",
@@ -1084,6 +1114,24 @@ def test_check_and_oracle_reject_a_negative_depth(capsys):
     assert (captured.out, captured.err) == ("", "validation error: --count must be non-negative, got -1\n")
     assert cli.main(["check", path, "--depth", "0"]) == 0
     assert cli.main(["oracle", path, "--max-len", "0"]) == 0
+
+
+def test_check_extends_no_path_past_its_depth(tmp_path, capsys):
+    # The arc checks extend paths of at most depth - 1 arcs: at depth 0,
+    # none, so the decreasing arc (0, 1) shows only from depth 1.
+    doc = minimal_doc(
+        graph={"vertex_count": 2, "arcs": [{"tail": 0, "head": 1, "payload": [-1, 0]}]},
+        weight_space={"kind": "mosp", "params": {"dimension": 2}},
+        declared_properties=["arc-increasing"],
+    )
+    path = write_doc(tmp_path, doc)
+    selection = ["--conditions", "arc-increasing,linear-extension"]
+    assert cli.main(["check", path, "--depth", "0", *selection]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in out["reports"]] == ["holds-to-depth"] * 2
+    assert cli.main(["check", path, "--depth", "1", *selection]) == 5
+    out = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in out["reports"]] == ["violated"] * 2
 
 
 def test_consecutive_main_calls_share_no_options(capsys):

@@ -30,6 +30,8 @@ from posp import (
     mda_leo_justified,
     permitted_algorithms,
 )
+from posp.algorithms import CONVERGED, SolveMode, bellman_solve, brute_force_frontier, mda_solve
+from posp.core import reconstruct_path
 from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, random_instance
 
 
@@ -469,6 +471,46 @@ def test_more_declarations_never_remove_rows(a, b, variant):
     small = satisfied_rows(a, variant)
     big = satisfied_rows(a | b, variant)
     assert {r.index for r in small} <= {r.index for r in big}
+
+
+def row_instances(row, variant):
+    """The generator instances a row covers: its required properties are in
+    their declared closure and, for an MDA row, the selection permits MDA."""
+    for structure in MIN_STRUCTURES + MAX_STRUCTURES:
+        for seed in range(5):
+            inst = random_instance(structure, seed)
+            if not row.required <= PropertySet(inst.declared).closed():
+                continue
+            has_leo = inst.space.leo_key is not None
+            if row.algorithm == "mda" and not permitted_algorithms(inst.declared, variant, has_leo)["mda"]:
+                continue
+            yield inst
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda row: f"row-{row.index}")
+def test_every_table_row_delivers_its_guarantee(row):
+    # The sufficiency half of the table: where a row's premises are declared
+    # (and, the generators' declarations being sound, hold), the row's solver
+    # returns what the oracle does.  A `complete` row promises every
+    # efficient weight, not every efficient path.
+    variant = "min" if row.problem == "min" else "max"
+    mode = SolveMode(variant)
+    solve = bellman_solve if row.algorithm == "bellman" else mda_solve
+    covered = 0
+    for inst in row_instances(row, variant):
+        result = solve(inst, mode)
+        assert result.status == CONVERGED, inst.name
+        oracle = brute_force_frontier(inst, 10 if mode is SolveMode.MIN else inst.mu, mode)
+        for v in range(inst.vertex_count):
+            if row.guarantee == "maximal":
+                got = {reconstruct_path(lab) for lab in result.frontiers[v]}
+                want = {e.path for e in oracle.entries[v]}
+            else:
+                got = {lab.weight for lab in result.frontiers[v]}
+                want = {e.weight for e in oracle.entries[v]}
+            assert got == want, (inst.name, v)
+        covered += 1
+    assert covered >= 5
 
 
 def test_evaluate_table_reports_missing_properties():

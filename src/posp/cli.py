@@ -76,7 +76,7 @@ MAX_VERTEX_COUNT = 100_000
 # 1 + n + ... + n^(m-1), and the n^2 arcs of its complete digraph.  The
 # label-correcting solve compares every candidate with its vertex's
 # frontier, so its time grows with the square of the label count: n = 2,
-# m = 13 (8,191 labels) takes about 3 s on a 2-core shared VM.
+# m = 13 (8,191 labels) takes about 1 s on a 2-core shared VM (Python 3.11).
 MAX_KN_SIZE = 10_000
 
 

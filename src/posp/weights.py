@@ -87,14 +87,18 @@ def read_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _show(value: Any) -> str:
-    """A document value as a message quotes it: a string as `repr` does, a
-    Fraction (the reading of a decimal literal) as a decimal with a point,
-    anything else as JSON, in which a Fraction is that decimal as a string."""
-    if isinstance(value, str):
+def _show(value: Any, nested: bool = False) -> str:
+    """A document value as a message quotes it: a top-level string as `repr`
+    does, a Fraction (the reading of a decimal literal) at any depth as a
+    decimal with a point, anything else as JSON."""
+    if isinstance(value, str) and not nested:
         return repr(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_show(v, True)}" for k, v in value.items()) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_show(v, True) for v in value) + "]"
     if not isinstance(value, Fraction):
-        return json.dumps(value, default=_show)
+        return json.dumps(value)
     places = value.denominator.bit_length()  # 10**places is a multiple of 2**a * 5**b
     digits, rest = divmod(abs(value.numerator) * 10**places, value.denominator)
     if rest:  # no decimal literal reads as this
@@ -1262,6 +1266,29 @@ def kn_space(n: int, m: int, source: int) -> WeightSpace:
         if not b:
             return GREATER
         return INCOMPARABLE
+
+    def scan(cmp, labels, w, keep_equal, stats):
+        # `algorithms._scan` by list searches: bottom lies below every other
+        # weight, and any two others are equal or incomparable, so the scan
+        # stops at the first bottom or (unless ties are kept) equal weight,
+        # and only a bottom `w` evicts anything.
+        ws = [r.weight for r in labels]
+        if not w:
+            if keep_equal or bottom not in ws:
+                stats.comparisons += len(ws)
+                return [r for r in labels if r.weight]
+            stop = ws.index(bottom)
+        elif all(ws) and (keep_equal or w not in ws):
+            stats.comparisons += len(ws)
+            return []
+        else:
+            stop = len(ws) if all(ws) else ws.index(bottom)
+            if not keep_equal and w in ws:
+                stop = min(stop, ws.index(w))
+        stats.comparisons += stop + 1
+        return None
+
+    comparator.scan = scan
 
     def update(w, arc):
         if w == bottom or len(w) >= m:

@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import cli_corpus
 import pytest
 
 import posp
@@ -50,6 +51,7 @@ from posp.generators import MAX_STRUCTURES, MIN_STRUCTURES, kn_instance, random_
 from posp.weights import (
     _vector_compare,
     bottleneck_space,
+    kn_space,
     mosp_space,
     product_space,
     table_space,
@@ -258,35 +260,43 @@ def test_one_pass_merge_equals_the_two_pass_rule(name, mode):
 
 
 # ---------------------------------------------------------------------------
-# The unrolled `mosp` kernels against the generic code.
+# The scan kernels (`mosp` pairs and triples, `kn`) against the generic code.
 
 
-def _kernel_weight(rng, d):
+def _kernel_weight(rng, kind):
+    if kind == "kn":
+        # Bottom or a short index tuple, built afresh, so that equal tuples
+        # are distinct objects and equality is not identity.
+        return tuple(rng.randrange(2) for _ in range(rng.choice((0, 1, 1, 2, 2))))
     # Small ints and halves, negative ones too, so that equal and ordered
     # pairs are common; 1 and Fraction(2, 2) are equal weights.
-    return tuple(rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 2))) for _ in range(d))
+    return tuple(rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 2))) for _ in range(kind))
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_mosp_scan_kernel_equals_the_reference_scan(d):
-    cmp = mosp_space(d, {}).comparator
+@pytest.mark.parametrize("kind", [2, 3, "kn"], ids=["mosp-2", "mosp-3", "kn"])
+def test_scan_kernel_equals_the_reference_scan(kind):
+    cmp = kn_space(2, 3, 0).comparator if kind == "kn" else mosp_space(kind, {}).comparator
+
+    def plain(a, b):  # the same order with no kernel attached
+        return cmp(a, b)
+
     outcomes = set()
     for seed in range(300):
-        rng = random.Random(f"kernel:{d}:{seed}")
-        labels = [Label(0, None, None, _kernel_weight(rng, d), 0) for _ in range(rng.randint(0, 8))]
+        rng = random.Random(f"kernel:{kind}:{seed}")
+        labels = [Label(0, None, None, _kernel_weight(rng, kind), 0) for _ in range(rng.randint(0, 8))]
         if labels and rng.random() < 0.3:
             w = rng.choice(labels).weight
         else:
-            w = _kernel_weight(rng, d)
+            w = _kernel_weight(rng, kind)
         for keep_equal in (False, True):
             ref_stats, stats = SolveStats(), SolveStats()
-            ref = _scan(_vector_compare, labels, w, keep_equal, ref_stats)
+            ref = _scan(plain, labels, w, keep_equal, ref_stats)
             got = cmp.scan(cmp, labels, w, keep_equal, stats)
             case = (seed, [lab.weight for lab in labels], w, keep_equal)
             assert got == ref, case  # labels compare by identity, so order counts
             assert stats.comparisons == ref_stats.comparisons, case
-            outcomes.add("rejected" if ref is None else "evicts" if ref else "kept")
-    assert outcomes == {"rejected", "evicts", "kept"}
+            outcomes.add(("rejected" if ref is None else "evicts" if ref else "kept", keep_equal))
+    assert outcomes == {(o, k) for o in ("rejected", "evicts", "kept") for k in (False, True)}
 
 
 def _counting_scan(cmp, labels, w, keep_equal, stats):
@@ -394,6 +404,20 @@ def test_mosp_kernels_change_no_solve(d):
                     assert _solve_record(solve(inst, mode, drop)) == _solve_record(
                         solve(generic, mode, drop)
                     ), case
+
+
+def test_kn_kernel_changes_no_solve():
+    # Every benchmark size in min mode; max mode keeps every path, so only
+    # the smallest sizes finish quickly there.
+    cases = [(n, m, SolveMode.MIN) for n, m in cli_corpus._workloads().KN_PAIRS]
+    cases += [(2, 2, SolveMode.MAX), (2, 3, SolveMode.MAX)]
+    for n, m, mode in cases:
+        inst = kn_instance(n, m)
+        cmp = inst.space.comparator
+        plain = dataclasses.replace(inst.space, comparator=lambda a, b: cmp(a, b))
+        assert _solve_record(bellman_solve(inst, mode)) == _solve_record(
+            bellman_solve(dataclasses.replace(inst, space=plain), mode)
+        ), (n, m, mode)
 
 
 def duality_instances():

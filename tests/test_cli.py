@@ -495,6 +495,12 @@ PARAM_ERRORS = {
         with_vertex_count("vector_demo.json", 2.0),
         "graph.vertex_count: expected an integer, got 2.0",
     ),
+    # A decimal inside a list or an object reads as it does at top level.
+    "source-decimal-in-list": (minimal_doc(source=[1.5]), "source: expected an integer, got [1.5]"),
+    "vertex-count-decimal-in-object": (
+        with_vertex_count("vector_demo.json", {"a": [1.0]}),
+        'graph.vertex_count: expected an integer, got {"a": [1.0]}',
+    ),
     "tail-null": (
         minimal_doc(graph={"vertex_count": 2, "arcs": [{"tail": None, "head": 1, "payload": [1]}]}),
         "graph.arcs[0].tail: expected an integer, got null",

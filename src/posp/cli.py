@@ -34,8 +34,6 @@ from .algorithms import (
 )
 from .conditions import (
     DEFAULT_DEPTH,
-    HOLDS,
-    ConditionReport,
     MONOTONICITY_KINDS,
     PathSample,
     PropertySet,
@@ -48,8 +46,6 @@ from .conditions import (
     permitted_algorithms,
 )
 from .core import (
-    INDEPENDENT,
-    WEAKLY_INDEPENDENT,
     BudgetExceededError,
     DomainMismatchError,
     Instance,
@@ -109,6 +105,13 @@ def parse_instance(doc: Any) -> Instance:
         raise ValidationError(f"unsupported format version {_show(fv)}", "format_version")
     graph = _req(doc, "graph", "")
     n = _bounded_int(_req(graph, "vertex_count", "graph"), "graph.vertex_count", MAX_VERTEX_COUNT)
+    # Instance's graph checks, in its order and words, before a weight space reads the graph.
+    if n < 1:
+        raise ValidationError("vertex count must be positive", "graph.vertex_count")
+    vertices = range(n)
+    source = _as_int(_req(doc, "source", ""), "source")
+    if source not in vertices:
+        raise ValidationError(f"source {source} out of range", "source")
     arcs_raw = _req(graph, "arcs", "graph")
     if not isinstance(arcs_raw, list):
         raise ValidationError("arcs must be a list", "graph.arcs")
@@ -119,8 +122,9 @@ def parse_instance(doc: Any) -> Instance:
             path = f"graph.arcs[{i}]"
             tail = _as_int(_req(arc, "tail", path), f"{path}.tail")
             head = _as_int(_req(arc, "head", path), f"{path}.head")
+        if tail not in vertices or head not in vertices:
+            raise ValidationError(f"arc {(tail, head)} has an endpoint out of range", f"graph.arcs[{i}]")
         arc_items.append(((tail, head), arc.get("payload")))
-    source = _as_int(_req(doc, "source", ""), "source")
     ws = _req(doc, "weight_space", "")
     kind = _req(ws, "kind", "weight_space")
     space = build_space(kind, ws.get("params", {}), arc_items, source, n)
@@ -306,13 +310,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             names.append("linear-extension")
 
     paths = PathSample(instance)
-    reports = []
-    for name in names:
-        if name == WEAKLY_INDEPENDENT and any(r.name == INDEPENDENT and r.holds for r in reports):
-            # Strict independence implies weak: no second walk.
-            reports.append(ConditionReport(WEAKLY_INDEPENDENT, HOLDS, depth))
-        else:
-            reports.append(_CONDITION_RUNNERS[name](instance, depth, paths))
+    reports = [_CONDITION_RUNNERS[name](instance, depth, paths) for name in names]
     # A violated report refutes the property of its own name, except the
     # linear-extension audit, which refutes leo-monotone.  The names that are
     # no property (arc-non-decreasing, strict-arc, strict-cycle) cannot be in

@@ -487,6 +487,11 @@ def as_first_part(doc):
 
 CURVE = [[0, 0], [1, 0.6], [2, 1]]
 
+TOURIST_ON_THREE = {
+    "kind": "tourist",
+    "params": {"budget": 5, "values": [1, 2, 3], "categories": [0, 0, 1], "category_count": 2},
+}
+
 # A parameter error names the parameter's place under ``weight_space.params``.
 # Any error quotes a string value as Python does and any other value as JSON.
 PARAM_ERRORS = {
@@ -626,6 +631,19 @@ PARAM_ERRORS = {
     "tourist-categories-per-vertex": (
         with_params("tourist_demo.json", categories=[0, 0, 1, 1, 0, 0]),
         "weight_space.params.categories: expected one entry per vertex (4), got 6",
+    ),
+    # A graph error names the graph, also where a weight space reads
+    # per-vertex parameters by the source or by an arc's endpoints.
+    "tourist-source-out-of-range": (
+        minimal_doc(graph={"vertex_count": 3, "arcs": []}, source=7, weight_space=TOURIST_ON_THREE),
+        "source: source 7 out of range",
+    ),
+    "tourist-arc-out-of-range": (
+        minimal_doc(
+            graph={"vertex_count": 3, "arcs": [{"tail": 0, "head": 9, "payload": 1}]},
+            weight_space=TOURIST_ON_THREE,
+        ),
+        "graph.arcs[0]: arc (0, 9) has an endpoint out of range",
     ),
     "mosp-dimension": (
         with_params("vector_demo.json", dimension=0),
@@ -1203,28 +1221,36 @@ def test_check_reports_equal_standalone_checker_calls(name, make, monkeypatch, c
 
 
 @pytest.mark.parametrize(
-    "fixture, selection, walks",
+    "fixture, selection",
     [
-        ("vector_demo.json", [], ["strict"]),
-        ("subset_catchup.json", [], ["strict", "weak"]),
-        ("vector_demo.json", ["--conditions", "weakly-independent"], ["weak"]),
-        ("vector_demo.json", ["--conditions", "weakly-independent,independent"], ["weak", "strict"]),
+        ("vector_demo.json", []),
+        ("subset_catchup.json", []),
+        ("vector_demo.json", ["--conditions", "weakly-independent"]),
+        ("vector_demo.json", ["--conditions", "weakly-independent,independent"]),
+        ("vector_demo.json", ["--conditions", "independent,weakly-independent"]),
     ],
 )
-def test_check_walks_weak_independence_unless_strict_holds(fixture, selection, walks, monkeypatch, capsys):
-    # Strict independence implies weak, so a holding strict report of the
-    # same run settles the weak one; its report is the walk's (see above).
-    modes = []
-    walk = cli.check_independence
+def test_check_walks_each_requested_condition_once_in_order(fixture, selection, monkeypatch, capsys):
+    # Strict independence implies weak, but a holding strict report does not
+    # stand in for the weak one: every requested name runs its own checker,
+    # and the reports are those runs', in the order asked for.
+    walked = []
+    for checker in CHECKERS:
 
-    def recorded(instance, depth, mode, paths):
-        modes.append(mode)
-        return walk(instance, depth, mode, paths)
+        def recorded(*args, walk=getattr(cli, checker), **kwargs):
+            report = walk(*args, **kwargs)
+            walked.append(report.name)
+            return report
 
-    monkeypatch.setattr(cli, "check_independence", recorded)
+        monkeypatch.setattr(cli, checker, recorded)
     assert cli.main(["check", fixture_file(fixture), *selection]) == 0
-    capsys.readouterr()
-    assert modes == walks
+    reports = [r["condition"] for r in json.loads(capsys.readouterr().out)["reports"]]
+    assert walked == reports
+    if selection:
+        assert walked == selection[1].split(",")
+    else:
+        assert {"independent", "weakly-independent"} <= set(walked)
+        assert len(set(walked)) == len(walked)
 
 
 def load_perfbench(name):
@@ -1391,20 +1417,6 @@ def test_traced_comparisons_equal_the_solver_counts():
     assert metrics["algorithms.bellman.comparisons"] == sum(r.stats.comparisons for r in bellman)
     assert all(r.stats.comparisons > 0 for r in bellman)
     assert metrics["algorithms.mda.comparisons"] == mda.stats.comparisons > 0
-
-    # `mosp` pairs and triples scan with a kernel of their comparator.  The
-    # tracer replaces the comparator, so traced solves take the generic scan
-    # through it and every comparison is seen; the counts are the kernel's.
-    gen = load_perfbench("gen")
-    grids = [gen.grid_doc(k, d, random.Random(f"traced:{d}"), f"grid-{d}") for d, k in ((2, 5), (3, 4))]
-    untraced = [(bellman_solve(i), mda_solve(i)) for i in map(cli.parse_instance, grids)]
-    solved, metrics = traced(
-        lambda _tracer: [(cli.bellman_solve(i), cli.mda_solve(i)) for i in map(cli.parse_instance, grids)]
-    )
-    for solver, column in (("bellman", 0), ("mda", 1)):
-        counts = [pair[column].stats.comparisons for pair in solved]
-        assert counts == [pair[column].stats.comparisons for pair in untraced]
-        assert metrics[f"algorithms.{solver}.comparisons"] == sum(counts) > 0
 
     # `mosp` pairs and triples scan with a kernel of their comparator.  The
     # tracer replaces the comparator, so traced solves take the generic scan
@@ -1656,6 +1668,15 @@ def test_bench_kn_rejects_sizes_past_the_limit(n, m, message):
     assert r.returncode == 2
     assert message in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("n, m", [("0", "3"), ("3", "0"), ("-1", "3")])
+def test_bench_kn_rejects_sizes_below_one(n, m, capsys):
+    # `_check_kn_size` passes these on, so that `kn_space` names the error.
+    assert cli.main(["bench", "--suite", "kn-worst-case", "--n", n, "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "validation error: kn: need n >= 1 and m >= 1\n"
+    assert captured.out == ""
 
 
 def test_bench_kn_limit_counts_the_predicted_labels():

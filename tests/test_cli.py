@@ -1103,6 +1103,17 @@ def test_check_condition_filter_and_unknown_names(tmp_path):
         assert r.stderr == "validation error: --conditions names no conditions\n", empty
 
 
+def test_check_runs_a_condition_named_twice_once(capsys):
+    # Repeats are dropped; the first appearance fixes the order.
+    path = fixture_file("vector_demo.json")
+    assert cli.main(["check", path, "--conditions", "weakly-independent,independent"]) == 0
+    once = capsys.readouterr().out
+    assert cli.main(["check", path, "--conditions", "weakly-independent,independent,weakly-independent"]) == 0
+    twice = capsys.readouterr().out
+    assert [rep["condition"] for rep in json.loads(twice)["reports"]] == ["weakly-independent", "independent"]
+    assert twice == once
+
+
 def test_check_reports_improving_loop_violations_without_exit_five():
     # The violated conditions are not the declared ones, so the audit passes.
     r = run_cli("check", fixture_file("improving_loop.json"), "--depth", "6")
@@ -1712,6 +1723,16 @@ def test_bench_rejects_an_unknown_structure(capsys):
         assert cli.main(["bench", "--suite", "random", "--structures", empty]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "validation error: --structures names no structures\n")
+
+
+def test_bench_runs_a_structure_named_twice_once(capsys):
+    argv = ["bench", "--suite", "random", "--count", "2", "--structures"]
+    assert cli.main([*argv, "mosp,interval"]) == 0
+    once = capsys.readouterr().out
+    assert cli.main([*argv, "mosp,interval,mosp"]) == 0
+    twice = capsys.readouterr().out
+    assert len(twice.splitlines()) == 4
+    assert twice == once
 
 
 # ---------------------------------------------------------------------------

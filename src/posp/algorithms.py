@@ -93,19 +93,18 @@ class SolveResult:
 
 def _scan(
     cmp: Callable[[Any, Any], Any],
-    labels: list[Label],
     weights: list[Any],
     w: Any,
     keep_equal: bool,
     stats: SolveStats,
-) -> list[Label] | None:
+) -> list[int] | None:
     """The dominance rule both solvers apply, stated once.
 
-    Compares each label's weight with `w`, in order; `weights[i]` is
-    `labels[i].weight`, a list each solver keeps beside its frontiers.
-    Returns None at the first label strictly below `w`, or equal to it
-    unless `keep_equal` is set; otherwise the labels strictly above `w`, in
-    order.  Comparisons made are added to `stats`.
+    Compares each weight of a frontier with `w`, in order.  Returns None at
+    the first weight strictly below `w`, or equal to it unless `keep_equal`
+    is set; otherwise the positions of the weights strictly above `w`, in
+    order.  Comparisons made are added to `stats`.  Only the solvers know
+    which label sits at a position.
 
     A comparator may carry a kernel for this rule as its `scan` attribute,
     called like `_scan` and returning and counting what `_scan` would; the
@@ -114,17 +113,16 @@ def _scan(
     replacement.
     """
     beaten = []
-    for r, rw in zip(labels, weights):
+    for i, rw in enumerate(weights):
         c = cmp(rw, w)
         if c is INCOMPARABLE:
             continue
         if c is GREATER:
-            beaten.append(r)
+            beaten.append(i)
         elif c is LESS or (c is EQUAL and not keep_equal):
-            # Labels compare by identity and a frontier holds each once.
-            stats.comparisons += labels.index(r) + 1
+            stats.comparisons += i + 1
             return None
-    stats.comparisons += len(labels)
+    stats.comparisons += len(weights)
     return beaten
 
 
@@ -218,11 +216,11 @@ def bellman_solve(
                     w = update(lab.weight, arc)
                     if infeasible is not None and infeasible(w):
                         continue
-                    beaten = scan(cmp, frontier, weights, w, keep_equal, stats)
+                    beaten = scan(cmp, weights, w, keep_equal, stats)
                     if beaten is None:
                         continue
                     if beaten:
-                        gone = set(beaten)
+                        gone = {frontier[i] for i in beaten}
                         frontier = [r for r in frontier if r not in gone]
                         weights = [r.weight for r in frontier]
                         # A kept candidate may evict an earlier one.
@@ -310,7 +308,7 @@ def mda_solve(
     last_key = None
     while heap:
         key, v, _serial, label = heapq.heappop(heap)
-        beaten = scan(cmp, permanents[v], weight_lists[v], label.weight, keep_equal, stats)
+        beaten = scan(cmp, weight_lists[v], label.weight, keep_equal, stats)
         if beaten is None:
             continue
 
@@ -329,7 +327,7 @@ def mda_solve(
         if beaten:
             # The filter left no permanent below the label (nor, in min mode,
             # equal to it), so the first strictly ordered one is above it.
-            perm = beaten[0]
+            perm = permanents[v][beaten[0]]
             raise LeoMonotonicityError(
                 "a permanent label and a later extraction are strictly ordered; "
                 "the linear extension is not monotone along arcs on this instance",
@@ -351,7 +349,7 @@ def mda_solve(
             w = update(label.weight, arc)
             if infeasible is not None and infeasible(w):
                 continue
-            if scan(cmp, permanents[u], weight_lists[u], w, keep_equal, stats) is None:
+            if scan(cmp, weight_lists[u], w, keep_equal, stats) is None:
                 continue
             if label.length >= guard:
                 status = GUARD_HIT

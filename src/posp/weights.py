@@ -300,7 +300,7 @@ def _arc_data(table: Mapping[ArcKey, Any], arc: Arc, name: str) -> Any:
 # a view of the space that replaces the comparator drops it.
 
 
-def _pair_scan(cmp, labels, weights, w, keep_equal, stats):
+def _pair_scan(cmp, weights, w, keep_equal, stats):
     w0, w1 = w
     beaten = []
     for i, (r0, r1) in enumerate(weights):
@@ -310,12 +310,12 @@ def _pair_scan(cmp, labels, weights, w, keep_equal, stats):
             stats.comparisons += i + 1
             return None
         if r0 >= w0 and r1 >= w1:
-            beaten.append(labels[i])
-    stats.comparisons += len(labels)
+            beaten.append(i)
+    stats.comparisons += len(weights)
     return beaten
 
 
-def _triple_scan(cmp, labels, weights, w, keep_equal, stats):
+def _triple_scan(cmp, weights, w, keep_equal, stats):
     w0, w1, w2 = w
     beaten = []
     for i, (r0, r1, r2) in enumerate(weights):
@@ -325,8 +325,8 @@ def _triple_scan(cmp, labels, weights, w, keep_equal, stats):
             stats.comparisons += i + 1
             return None
         if r0 >= w0 and r1 >= w1 and r2 >= w2:
-            beaten.append(labels[i])
-    stats.comparisons += len(labels)
+            beaten.append(i)
+    stats.comparisons += len(weights)
     return beaten
 
 
@@ -1266,7 +1266,7 @@ def kn_space(n: int, m: int, source: int) -> WeightSpace:
             return GREATER
         return INCOMPARABLE
 
-    def scan(cmp, labels, weights, w, keep_equal, stats):
+    def scan(cmp, weights, w, keep_equal, stats):
         # `algorithms._scan` by list searches: bottom lies below every other
         # weight, and any two others are equal or incomparable, so the scan
         # stops at the first bottom or (unless ties are kept) equal weight,
@@ -1274,7 +1274,7 @@ def kn_space(n: int, m: int, source: int) -> WeightSpace:
         if not w:
             if keep_equal or bottom not in weights:
                 stats.comparisons += len(weights)
-                return list(itertools.compress(labels, weights))
+                return list(itertools.compress(itertools.count(), weights))
             stop = weights.index(bottom)
         elif all(weights) and (keep_equal or w not in weights):
             stats.comparisons += len(weights)

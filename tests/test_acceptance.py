@@ -151,18 +151,35 @@ def test_min_mode_oracle_equivalence_suite():
 
 
 def test_max_mode_returns_maximal_complete_sets():
+    # mosp-max and tourist-max are subpath-optimal, so both solvers return
+    # exactly the oracle's paths.  Every structure obeys two laws: each
+    # returned path is an oracle path, and the paths of Bellman's result
+    # whose every proper prefix is in the result are MDA's paths (on evsp an
+    # efficient path can have a dominated prefix, which Bellman may have
+    # extended before evicting it and MDA never extends).
     failures = []
-    for structure in ("mosp-max", "tourist-max"):
-        for i in range(25):
-            inst = random_instance(structure, i)
-            oracle = brute_force_frontier(inst, inst.mu, SolveMode.MAX)
-            for solve in (bellman_solve, mda_solve):
-                mx = solve(inst, SolveMode.MAX)
+    cases = [(s, i) for s in ("mosp-max", "tourist-max") for i in range(25)]
+    cases += [(s, i) for s in ("evsp", "tourist") for i in range(40)]
+    for structure, i in cases:
+        inst = random_instance(structure, i)
+        oracle = brute_force_frontier(inst, inst.mu, SolveMode.MAX)
+        every = {e.path for entries in oracle.entries for e in entries}
+        paths = {}
+        for solve in (bellman_solve, mda_solve):
+            mx = solve(inst, SolveMode.MAX)
+            paths[solve] = {reconstruct_path(lab) for f in mx.frontiers for lab in f}
+            if not paths[solve] <= every:
+                failures.append((structure, i, solve.__name__, "not-efficient"))
+            if structure.endswith("-max"):
                 for v in range(inst.vertex_count):
                     got = {reconstruct_path(lab) for lab in mx.frontiers[v]}
                     if got != {e.path for e in oracle.entries[v]}:
                         failures.append((structure, i, solve.__name__, v))
-    verdict("max-mode maximal complete sets (50 instances, both solvers)", not failures)
+        bell = paths[bellman_solve]
+        closed = {p for p in bell if all(p[:k] in bell for k in range(1, len(p)))}
+        if closed != paths[mda_solve]:
+            failures.append((structure, i, "prefix-closed"))
+    verdict("max-mode maximal complete sets and laws (130 instances, both solvers)", not failures)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import fuzz_documents
 import posp
 from posp import cli, conditions
 from posp.algorithms import SolveMode, bellman_solve, enumerate_source_paths, mda_solve
@@ -820,6 +821,16 @@ def test_wrong_shapes_end_in_a_documented_exit_code(name, tmp_path, capsys):
             for line in capsys.readouterr().err.splitlines():
                 if line.startswith("validation error: "):
                     assert DOCUMENT_PATH.match(line), (slot, shape, line)
+
+
+def test_mutated_documents_end_in_a_documented_exit_code(monkeypatch):
+    # 300 seeded mutants of the fixtures, each run through solve, solve
+    # --variant max, check, recommend and oracle (tests/fuzz_documents.py):
+    # no run raises out of `main`, and an exit-2 run writes one stderr line.
+    monkeypatch.delenv("POSP_BUDGET", raising=False)
+    codes, failures = fuzz_documents.fuzz(cli.main, 1, 300)
+    assert not failures, failures[:5]
+    assert {0, 2, 3} <= set(codes)
 
 
 # ---------------------------------------------------------------------------

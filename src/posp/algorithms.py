@@ -21,6 +21,7 @@ node count is capped by the POSP_BUDGET environment variable.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import os
@@ -184,7 +185,7 @@ def bellman_solve(
     scan = getattr(cmp, "scan", _scan)
     keep_equal = mode is SolveMode.MAX
 
-    root = Label(instance.source, None, None, space.initial, 0)
+    root = Label(instance.source, None, space.initial, 0)
     n = instance.vertex_count
     frontiers: list[list[Label]] = [[] for _ in range(n)]
     frontiers[instance.source] = [root]
@@ -209,8 +210,9 @@ def bellman_solve(
         heads = {arc.head for u in sources for arc in out_arcs(u)}
         for v in heads:
             frontier, weights = frontiers[v], weight_lists[v]
-            before = len(frontier)
-            kept: list[Label] = []
+            before = old = len(frontier)
+            # Candidates are only appended, so the incumbents that survive
+            # are frontier[:old] and the labels this round keeps frontier[old:].
             for arc in in_arcs(v):
                 for lab in sources.get(arc.tail, ()):
                     w = update(lab.weight, arc)
@@ -220,20 +222,15 @@ def bellman_solve(
                     if beaten is None:
                         continue
                     if beaten:
-                        gone = {frontier[i] for i in beaten}
-                        frontier = [r for r in frontier if r not in gone]
-                        weights = [r.weight for r in frontier]
-                        # A kept candidate may evict an earlier one.
-                        kept = [c for c in kept if c not in gone]
-                    cand = Label(v, lab, arc, w, lab.length + 1)
-                    frontier.append(cand)
+                        old -= bisect.bisect_left(beaten, old)
+                        for i in reversed(beaten):
+                            del frontier[i], weights[i]
+                    frontier.append(Label(v, lab, w, lab.length + 1))
                     weights.append(w)
-                    kept.append(cand)
-            if kept:
+            if len(frontier) > old:
                 size += len(frontier) - before
-                frontiers[v], weight_lists[v] = frontier, weights
-                fresh[v] = kept
-                stats.insertions += len(kept)
+                fresh[v] = frontier[old:]
+                stats.insertions += len(frontier) - old
         iteration_sizes.append(size)
         if not fresh:
             break
@@ -301,7 +298,7 @@ def mda_solve(
     update = space.update
     infeasible = space.infeasible if drop_infeasible else None
     out_arcs = instance.out_arcs
-    root = Label(instance.source, None, None, space.initial, 0)
+    root = Label(instance.source, None, space.initial, 0)
     heapq.heappush(heap, [key_of(root.weight), root.vertex, next(serials), root])
     stats.insertions += 1
 
@@ -354,7 +351,7 @@ def mda_solve(
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            heapq.heappush(heap, [key_of(w), u, next(serials), Label(u, label, arc, w, label.length + 1)])
+            heapq.heappush(heap, [key_of(w), u, next(serials), Label(u, label, w, label.length + 1)])
             stats.insertions += 1
 
     return SolveResult(frontiers=permanents, stats=stats, status=status)

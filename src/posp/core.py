@@ -7,7 +7,7 @@ a digraph and a source vertex to a weight space together with the properties
 the caller declares to hold for it.
 
 Labels are immutable records linked through predecessor references; a label
-*is* its path: its predecessor chain plus its arc.
+*is* its path: its vertex after its predecessor chain.
 """
 
 from __future__ import annotations
@@ -261,8 +261,9 @@ def build_instance(
 
 @dataclass(eq=False, slots=True)
 class Label:
-    """One discovered path.  A label is its path: its predecessor chain plus
-    its arc, ending at `vertex`.
+    """One discovered path.  A label is its path: its predecessor chain, then
+    `vertex`.  No two arcs share a tail and a head, so the vertices name the
+    arcs.
 
     Identity (eq/hash) is by object, so labels can be collected in sets.  A
     label is written once, when built; one dropped from a frontier stays as it
@@ -271,7 +272,6 @@ class Label:
 
     vertex: int
     pred: "Label | None"
-    arc: Arc | None
     weight: Any
     length: int
 

@@ -6,19 +6,18 @@ import collections
 import dataclasses
 import hashlib
 import heapq
-import importlib.util
 import itertools
 import json
 import math
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import cli_corpus
 import pytest
 
 import posp
+from certificate import load_perfbench
 from posp import (
     EQUAL,
     GREATER,
@@ -63,15 +62,6 @@ from posp.weights import (
 
 def load_instance(name):
     return posp.parse_instance(json.loads(posp.fixture_path(name).read_text()))
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def frontier_weights(result, v):
@@ -162,7 +152,7 @@ def two_pass_bellman(instance, mode, re_extend=False):
     the merge's path check rejects.  Returns ((frontiers as (weight, path)
     lists, status, insertions), comparisons made)."""
     space = instance.space
-    root = Label(instance.source, None, None, space.initial, 0)
+    root = Label(instance.source, None, space.initial, 0)
     frontiers = [[] for _ in range(instance.vertex_count)]
     frontiers[instance.source] = [root]
     fresh = {instance.source: [root]}
@@ -172,7 +162,7 @@ def two_pass_bellman(instance, mode, re_extend=False):
         fresh = {}
         for v in range(instance.vertex_count):
             candidates = [
-                Label(v, lab, arc, space.update(lab.weight, arc), lab.length + 1)
+                Label(v, lab, space.update(lab.weight, arc), lab.length + 1)
                 for arc in instance.in_arcs(v)
                 for lab in sources.get(arc.tail, ())
             ]
@@ -331,7 +321,7 @@ def test_generic_scan_equals_the_counting_reference():
     for seed in range(400):
         rng = random.Random(f"scan:{seed}")
         weights = [(i,) for i in range(rng.randint(0, 10))]
-        labels = [Label(0, None, None, x, 0) for x in _copies(weights)]
+        labels = [Label(0, None, x, 0) for x in _copies(weights)]
         script = [rng.choice(verdicts) for _ in weights]
         calls = []
 
@@ -758,7 +748,7 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
             set_entry(v, lab)
             return
 
-    root = Label(vertex=instance.source, pred=None, arc=None, weight=space.initial, length=0)
+    root = Label(vertex=instance.source, pred=None, weight=space.initial, length=0)
     created[root] = next(serials)
     set_entry(instance.source, root)
 
@@ -809,7 +799,7 @@ def slot_mda_solve(instance, mode=SolveMode.MIN, drop_infeasible=False):
             if label.length >= guard:
                 status = GUARD_HIT
                 continue
-            cand = Label(vertex=u, pred=label, arc=arc, weight=w, length=label.length + 1)
+            cand = Label(vertex=u, pred=label, weight=w, length=label.length + 1)
             created[cand] = next(serials)
             current = entry_for.get(u)
             if current is None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import importlib.util
 import json
 import os
 import random
@@ -18,6 +17,7 @@ import pytest
 
 import fuzz_documents
 import posp
+from certificate import load_perfbench
 from posp import cli, conditions
 from posp.algorithms import SolveMode, bellman_solve, enumerate_source_paths, mda_solve
 from posp.core import LeoMonotonicityError, reconstruct_path
@@ -1273,15 +1273,6 @@ def test_check_walks_each_requested_condition_once_in_order(fixture, selection, 
     else:
         assert {"independent", "weakly-independent"} <= set(walked)
         assert len(set(walked)) == len(walked)
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def load_tracer():

@@ -78,6 +78,11 @@ def test_instance_errors_win_in_order(n, arcs, source, path, message):
     assert (info.value.path, info.value.message) == (path, message)
 
 
+def test_a_space_without_render_renders_the_weight_repr():
+    space = WeightSpace("w", lambda a, b: EQUAL, lambda w, arc: w, (1, "a"))
+    assert space.render_weight(space.initial) == "(1, 'a')"
+
+
 def test_instance_adjacency_keeps_arc_order():
     inst = build_instance(3, [(0, 1), (2, 1), (0, 2), (1, 1)], 0, WeightSpace("w", None, None, 0))
     assert [a.index for a in inst.out_arcs(0)] == [0, 2]

@@ -97,21 +97,30 @@ def test_as_rational_keeps_ints_and_reads_everything_else_exactly():
         as_rational(True)
 
 
+_NOT_RATIONAL = "cannot parse rational 'x': Invalid literal for Fraction: 'x'"
+_CONSTRUCTOR_ERRORS = [
+    (lambda: interval_space("x", 1, {}), "alpha", _NOT_RATIONAL),
+    (lambda: interval_space(0, 1, {(0, 1): {"c": 1, "w": "x"}}), "arc (0, 1).w", _NOT_RATIONAL),
+    (lambda: tourist_space(1, [0, "x"], [0, 0], 1, {}, 0), "values[1]", _NOT_RATIONAL),
+    (lambda: tourist_space(1, [0, 0], [0, 0], 1, {(0, 1): {"length": "x"}}, 0), "arc (0, 1).length", _NOT_RATIONAL),
+    (lambda: fifo_time_space(0, {(0, 1): {"breakpoints": [[0, -1]]}}), "arc (0, 1).breakpoints[0]", "negative travel time -1"),
+    (lambda: bottleneck_space(-1, 1, {}), "additive_dimension", "dimension must be nonnegative"),
+    (lambda: tourist_space(1, [0, 0], [0, 0], 1, {(0, 5): 1}, 0), "", "arc (0, 5) enters a vertex with no value"),
+    (lambda: tourist_space(1, [0, 0], [0, 0], 1, {}, 2), "", "source out of range"),
+    (lambda: kn_space(2, 2, 5), "kn", "source out of range"),
+]
+
+
+# A case is named by its path, or by its message when the path is empty.
 @pytest.mark.parametrize(
-    "make, path",
-    [
-        (lambda: interval_space("x", 1, {}), "alpha"),
-        (lambda: interval_space(0, 1, {(0, 1): {"c": 1, "w": "x"}}), "arc (0, 1).w"),
-        (lambda: tourist_space(1, [0, "x"], [0, 0], 1, {}, 0), "values[1]"),
-        (lambda: tourist_space(1, [0, 0], [0, 0], 1, {(0, 1): {"length": "x"}}, 0), "arc (0, 1).length"),
-        (lambda: fifo_time_space(0, {(0, 1): {"breakpoints": [[0, -1]]}}), "arc (0, 1).breakpoints[0]"),
-        (lambda: bottleneck_space(-1, 1, {}), "additive_dimension"),
-    ],
+    "make, path, message",
+    _CONSTRUCTOR_ERRORS,
+    ids=[f"<lambda>-{path or message}" for _make, path, message in _CONSTRUCTOR_ERRORS],
 )
-def test_constructor_errors_name_their_own_arguments(make, path):
+def test_constructor_errors_name_their_own_arguments(make, path, message):
     with pytest.raises(ValidationError) as info:
         make()
-    assert info.value.path == path
+    assert (info.value.path, info.value.message) == (path, message)
 
 
 def test_render_rational():
